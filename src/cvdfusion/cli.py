@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from .core import DEFAULT_TOL
-from .errors import CvdError, MalformedSyntaxError
+from .errors import CvdError
 from .formats import (
     build_fuse_report,
     build_measure_report,
@@ -52,8 +53,8 @@ def _tol_arg(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError("tolerance must be positive")
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError("tolerance must be finite and positive")
     return value
 
 
@@ -132,15 +133,8 @@ def _read_input(path: str) -> bytes:
     return Path(path).read_bytes()
 
 
-def _decode(data: bytes) -> str:
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as err:
-        raise MalformedSyntaxError(f"input is not valid UTF-8: {err}") from err
-
-
-def _cmd_validate(args, text: str) -> int:
-    space, named_raws = parse_raw_document(text)
+def _cmd_validate(args, data: bytes) -> int:
+    space, named_raws = parse_raw_document(data)
     report = build_validate_report(space, named_raws, tol=args.tol)
     print(render_report(report, args.pretty))
     if not report["valid"]:
@@ -154,14 +148,14 @@ def _cmd_validate(args, text: str) -> int:
     return EXIT_OK
 
 
-def _cmd_measure(args, text: str) -> int:
-    s = parse_source_file(text, tol=args.tol)
+def _cmd_measure(args, data: bytes) -> int:
+    s = parse_source_file(data, tol=args.tol)
     print(render_report(build_measure_report(s), args.pretty))
     return EXIT_OK
 
 
-def _cmd_fuse(args, text: str) -> int:
-    s = parse_source_file(text, tol=args.tol)
+def _cmd_fuse(args, data: bytes) -> int:
+    s = parse_source_file(data, tol=args.tol)
     if args.weights is not None:
         weights = CredibilityWeights(args.weights)
     else:
@@ -170,8 +164,8 @@ def _cmd_fuse(args, text: str) -> int:
     return EXIT_OK
 
 
-def _cmd_select(args, text: str) -> int:
-    s = parse_source_file(text, tol=args.tol)
+def _cmd_select(args, data: bytes) -> int:
+    s = parse_source_file(data, tol=args.tol)
     result = select_sources(s, strategy=args.strategy, min_size=args.min_size)
     print(render_report(build_select_report(s, result), args.pretty))
     return EXIT_OK
@@ -191,7 +185,7 @@ def main(argv=None) -> int:
         return EXIT_IO
 
     try:
-        return args.handler(args, _decode(data))
+        return args.handler(args, data)
     except CvdError as err:
         _emit_error(err.code, err.message, source=err.source)
         return EXIT_DOMAIN

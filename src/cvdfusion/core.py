@@ -111,6 +111,11 @@ class SourceSet:
         return SourceSet(self.space, tuple(self.sources[i] for i in indices))
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise CvdError(f"tolerance must be finite and positive, got {tol!r}")
+
+
 def make_cvd(
     space: OutcomeSpace,
     raw: Sequence[Sequence[float]],
@@ -124,8 +129,10 @@ def make_cvd(
     tol of 1 + 0i in both components.  Input order is preserved.
 
     Raises LengthMismatchError, NonFiniteError, NegativeRealPartError,
-    ModulusExceedsOneError or SumNotUnityError accordingly.
+    ModulusExceedsOneError or SumNotUnityError accordingly, and CvdError if
+    tol is not a finite positive number.
     """
+    _check_tol(tol)
     n = space.size
     if len(raw) != n:
         raise LengthMismatchError(
@@ -174,6 +181,7 @@ def make_source_set(
     """
     if len(named_raws) < 1:
         raise CvdError("a source set needs at least one source")
+    _check_tol(tol)
 
     seen: set[str] = set()
     sources: list[tuple[str, CvdVector]] = []

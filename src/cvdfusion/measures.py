@@ -15,11 +15,17 @@ The cosine/compatibility numerators are the Hermitian-symmetric average
 part directly.  Valid vectors have norm >= 1/sqrt(n) > 0, so the divisions
 cannot degenerate; a defensive assertion fires if a norm underflows 1e-15,
 which would mean an invalid value escaped construction.
+
+On a source set every measure is read off the real Gram matrix
+G[k][h] = Re<C_k, C_h> (``gram``: information_quality on the diagonal, one
+inner product per unordered pair, mirrored exactly); subset qualities sum G
+in the order the subset lists its sources (``subset_quality``).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .core import CvdVector, SourceSet
@@ -45,7 +51,12 @@ def inner_product(a: CvdVector, b: CvdVector) -> complex:
     return total
 
 
-def _self_product(a: CvdVector) -> float:
+def information_quality(a: CvdVector) -> float:
+    """Squared norm ||a||^2.
+
+    For a real-valued (probability) vector p this is sum_j p_j^2, i.e.
+    1 - Gini(p): bounded in [1/n, 1].  Complex entries can push it up to n.
+    """
     ip = inner_product(a, a)
     assert abs(ip.imag) <= 1e-12, "self inner product must be real"
     return ip.real
@@ -53,23 +64,22 @@ def _self_product(a: CvdVector) -> float:
 
 def norm(a: CvdVector) -> float:
     """Vector norm sqrt(<a,a>).  Always >= 1/sqrt(n) for valid vectors."""
-    return math.sqrt(_self_product(a))
+    return math.sqrt(information_quality(a))
 
 
-def _norm_product(a: CvdVector, b: CvdVector) -> float:
-    na = norm(a)
-    nb = norm(b)
+def _cosine(g_ab: float, g_aa: float, g_bb: float) -> float:
+    na = math.sqrt(g_aa)
+    nb = math.sqrt(g_bb)
     assert na > _NORM_FLOOR and nb > _NORM_FLOOR, (
         "norm underflow: an invalid vector escaped construction"
     )
-    return na * nb
+    return min(1.0, max(-1.0, g_ab / (na * nb)))
 
 
 def cosine_angle(a: CvdVector, b: CvdVector) -> float:
     """Cosine of the angle between a and b, clamped into [-1, 1]."""
-    _require_same_space(a, b)
-    c = inner_product(a, b).real / _norm_product(a, b)
-    return min(1.0, max(-1.0, c))
+    g_ab = inner_product(a, b).real
+    return _cosine(g_ab, information_quality(a), information_quality(b))
 
 
 def compatibility(a: CvdVector, b: CvdVector) -> float:
@@ -78,9 +88,7 @@ def compatibility(a: CvdVector, b: CvdVector) -> float:
     1 means the vectors are identical, 0 means (at least) disjoint support.
     Equals abs(cosine_angle(a, b)).
     """
-    _require_same_space(a, b)
-    c = abs(inner_product(a, b).real) / _norm_product(a, b)
-    return min(1.0, c)
+    return abs(cosine_angle(a, b))
 
 
 def conflict(a: CvdVector, b: CvdVector) -> float:
@@ -88,32 +96,44 @@ def conflict(a: CvdVector, b: CvdVector) -> float:
     return 1.0 - compatibility(a, b)
 
 
-def information_quality(a: CvdVector) -> float:
-    """Squared norm ||a||^2.
+def gram(s: SourceSet) -> list[list[float]]:
+    """Real Gram matrix G[k][h] = Re<C_k, C_h>, each unordered pair once."""
+    vectors = s.vectors
+    r = len(vectors)
+    g = [[0.0] * r for _ in range(r)]
+    for k in range(r):
+        g[k][k] = information_quality(vectors[k])
+        for h in range(k + 1, r):
+            g[k][h] = g[h][k] = inner_product(vectors[k], vectors[h]).real
+    return g
 
-    For a real-valued (probability) vector p this is sum_j p_j^2, i.e.
-    1 - Gini(p): bounded in [1/n, 1].  Complex entries can push it up to n.
+
+def subset_quality(g: Sequence[Sequence[float]], indices: Sequence[int]) -> float:
+    """(1/m^2) [sum_k G[k][k] + 2 sum_{k before h} G[k][h]] over m indices.
+
+    Sums run left to right in the order of ``indices``, in explicit loops:
+    float sum() rounds differently from Python 3.12 on.
     """
-    return _self_product(a)
+    m = len(indices)
+    quality_sum = 0.0
+    for k in indices:
+        quality_sum += g[k][k]
+    cross_sum = 0.0
+    for a in range(m):
+        row = g[indices[a]]
+        for b in range(a + 1, m):
+            cross_sum += row[indices[b]]
+    return (quality_sum + 2.0 * cross_sum) / (m * m)
 
 
 def aggregate_quality(s: SourceSet) -> float:
     """Quality of the unweighted combination of the r sources.
 
-    Computed as (1/r^2) [ sum_k ||C_k||^2 + 2 sum_{k<h} Re<C_k, C_h> ],
-    summed in ascending k then ascending h for reproducibility.  Equals
-    information_quality(mean_aggregate(s)) up to rounding.
+    subset_quality(gram(s), range(r)): (1/r^2) [ sum_k ||C_k||^2 +
+    2 sum_{k<h} Re<C_k, C_h> ], summed in ascending k then ascending h.
+    Equals information_quality(mean_aggregate(s)) up to rounding.
     """
-    vectors = s.vectors
-    r = len(vectors)
-    quality_sum = 0.0
-    for v in vectors:
-        quality_sum += information_quality(v)
-    cross_sum = 0.0
-    for k in range(r):
-        for h in range(k + 1, r):
-            cross_sum += inner_product(vectors[k], vectors[h]).real
-    return (quality_sum + 2.0 * cross_sum) / (r * r)
+    return subset_quality(gram(s), range(len(s)))
 
 
 @dataclass(frozen=True)
@@ -133,29 +153,27 @@ class PairwiseMatrix:
         return self.values[k]
 
 
-_MATRIX_KINDS = {
-    "compatibility": (compatibility, 1.0),
-    "conflict": (conflict, 0.0),
-    "cosine": (cosine_angle, 1.0),
+# Each kind as a function of the clamped cosine; its value at 1.0 is the diagonal.
+_OF_COSINE = {
+    "compatibility": abs,
+    "conflict": lambda c: 1.0 - abs(c),
+    "cosine": lambda c: c,
 }
 
 
 def pairwise_matrix(s: SourceSet, kind: str) -> PairwiseMatrix:
     """Tabulate compatibility, conflict or cosine over all source pairs."""
     try:
-        op, diagonal = _MATRIX_KINDS[kind]
+        of_cosine = _OF_COSINE[kind]
     except KeyError:
         raise ValueError(
-            f"unknown matrix kind {kind!r}, expected one of {sorted(_MATRIX_KINDS)}"
+            f"unknown matrix kind {kind!r}, expected one of {sorted(_OF_COSINE)}"
         ) from None
 
-    vectors = s.vectors
-    r = len(vectors)
-    grid = [[0.0] * r for _ in range(r)]
+    g = gram(s)
+    r = len(g)
+    grid = [[of_cosine(1.0)] * r for _ in range(r)]
     for k in range(r):
-        grid[k][k] = diagonal
         for h in range(k + 1, r):
-            value = op(vectors[k], vectors[h])
-            grid[k][h] = value
-            grid[h][k] = value
+            grid[k][h] = grid[h][k] = of_cosine(_cosine(g[k][h], g[k][k], g[h][h]))
     return PairwiseMatrix(kind, r, tuple(tuple(row) for row in grid))

@@ -2,12 +2,16 @@
 
 import io
 import json
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from cvdfusion.cli import main
+
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 TWO_SOURCE_JSON = (
     '{"space": ["up", "down"],'
@@ -132,6 +136,15 @@ class TestFuse:
         )
         assert code == 1
         assert json.loads(err)["error"] == "WeightLengthMismatch"
+
+    def test_nan_weights_are_domain_errors(self, capsys, two_source_file):
+        code, out, err = run_cli(
+            capsys, "fuse", "--input", two_source_file, "--weights", "nan,nan"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert json.loads(err)["error"] == "InvalidWeights"
 
     def test_unparseable_weights_are_usage_errors(self, capsys, two_source_file):
         code, _, err = run_cli(
@@ -263,9 +276,10 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(err)["error"] == "Usage"
 
-    def test_bad_tol_is_usage_error(self, capsys, two_source_file):
+    @pytest.mark.parametrize("tol", ["-1", "inf"])
+    def test_bad_tol_is_usage_error(self, capsys, two_source_file, tol):
         code, _, err = run_cli(
-            capsys, "measure", "--input", two_source_file, "--tol", "-1"
+            capsys, "measure", "--input", two_source_file, "--tol", tol
         )
         assert code == 3
 
@@ -289,9 +303,24 @@ class TestEntryPoints:
         assert json.loads(proc.stdout)["aggregate_iq"] == 0.51
 
     def test_console_script(self, tmp_path):
+        # Without an installed executable, run the [project.scripts] target
+        # that pyproject.toml declares, as the generated wrapper would.
+        command = shutil.which("cvdfusion")
+        if command is not None:
+            argv = [command]
+        else:
+            tomllib = pytest.importorskip("tomllib")
+            with open(PYPROJECT, "rb") as f:
+                target = tomllib.load(f)["project"]["scripts"]["cvdfusion"]
+            module, function = target.split(":")
+            argv = [
+                sys.executable,
+                "-c",
+                f"import sys; from {module} import {function}; sys.exit({function}())",
+            ]
         path = write(tmp_path, "pair.json", TWO_SOURCE_JSON)
         proc = subprocess.run(
-            ["cvdfusion", "measure", "--input", path],
+            argv + ["measure", "--input", path],
             capture_output=True,
             text=True,
         )

@@ -104,6 +104,15 @@ class TestMakeCvd:
         v = make_cvd(SPACE2, raw, tol=1e-4)
         assert v.entries[0].real == 0.0
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # a NaN or infinite tol would let any entry through every check
+        with pytest.raises(CvdError):
+            make_cvd(SPACE2, [(5.0, 3.0), (7.0, 0.0)], tol=tol)
+        with pytest.raises(CvdError) as info:
+            make_source_set(SPACE2, [("s", [(0.0, 0.0), (0.0, 0.0)])], tol=tol)
+        assert info.value.source is None
+
     def test_sum_checked_after_clamping(self):
         # raw sums to ~1, but clamping three tiny negatives shifts the
         # stored sum past tol, which must still be rejected

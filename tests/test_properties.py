@@ -256,6 +256,12 @@ class TestMatrixProperties:
     @given(source_sets(max_r=5, max_n=6), st.sampled_from(["compatibility", "conflict", "cosine"]))
     def test_matrix_invariants(self, s, kind):
         m = pairwise_matrix(s, kind)
+        op = {
+            "compatibility": compatibility,
+            "conflict": conflict,
+            "cosine": cosine_angle,
+        }[kind]
+        vs = s.vectors
         r = len(s)
         diagonal = 0.0 if kind == "conflict" else 1.0
         low, high = (-1.0, 1.0) if kind == "cosine" else (0.0, 1.0)
@@ -264,6 +270,8 @@ class TestMatrixProperties:
             for h in range(r):
                 assert m.values[k][h] == m.values[h][k]
                 assert low <= m.values[k][h] <= high
+                if h != k:
+                    assert m.values[k][h] == op(vs[k], vs[h])
 
 
 class TestFusionProperties:
