@@ -24,7 +24,7 @@ from .formats import (
     parse_source_file,
     render_report,
 )
-from .fusion import CredibilityWeights, credibility_weights, select_sources
+from .fusion import CredibilityWeights, select_sources
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -156,10 +156,7 @@ def _cmd_measure(args, data: bytes) -> int:
 
 def _cmd_fuse(args, data: bytes) -> int:
     s = parse_source_file(data, tol=args.tol)
-    if args.weights is not None:
-        weights = CredibilityWeights(args.weights)
-    else:
-        weights = credibility_weights(s)
+    weights = None if args.weights is None else CredibilityWeights(args.weights)
     print(render_report(build_fuse_report(s, weights), args.pretty))
     return EXIT_OK
 

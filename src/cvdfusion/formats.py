@@ -31,8 +31,19 @@ from .errors import (
     MalformedSyntaxError,
     SchemaViolationError,
 )
-from .fusion import CredibilityWeights, SelectionResult, fuse
-from .measures import aggregate_quality, information_quality, pairwise_matrix
+from .fusion import (
+    CredibilityWeights,
+    SelectionResult,
+    fuse,
+    weights_from_compatibility,
+)
+from .measures import (
+    PairwiseMatrix,
+    gram,
+    information_quality,
+    matrix_from_gram,
+    subset_quality,
+)
 
 REPORT_DIGITS = 12
 
@@ -52,12 +63,17 @@ def detect_format(text: str) -> str:
 
 
 def _parse_json_document(text: str) -> RawDocument:
+    # Integers decode straight to float: one with more than 308 digits
+    # becomes inf (rejected as NonFinite, like the literal 1e400) instead of
+    # overflowing float() or hitting int()'s 4300-digit limit.
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=float)
     except json.JSONDecodeError as err:
         raise MalformedSyntaxError(
             f"invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}"
         ) from err
+    except RecursionError:
+        raise MalformedSyntaxError("invalid JSON: nested too deeply") from None
 
     if not isinstance(doc, dict):
         raise SchemaViolationError("top level must be an object")
@@ -168,15 +184,17 @@ def _parse_csv_document(text: str) -> RawDocument:
 def parse_raw_document(text: str | bytes, fmt: str = "auto") -> RawDocument:
     """Parse to (space, named raw pairs) without CvD validation.
 
-    Bytes are decoded as UTF-8 first.  Raises MalformedSyntaxError for
-    undecodable or unparseable input and SchemaViolationError when the
-    structure does not match the schema.
+    Bytes are decoded as UTF-8 first; one leading byte-order mark (U+FEFF)
+    is dropped.  Raises MalformedSyntaxError for undecodable or unparseable
+    input and SchemaViolationError when the structure does not match the
+    schema.
     """
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as err:
             raise MalformedSyntaxError(f"input is not valid UTF-8: {err}") from err
+    text = text.removeprefix("\ufeff")
     if fmt == "auto":
         fmt = detect_format(text)
     if fmt == "json":
@@ -228,10 +246,6 @@ def round_sig(x: float, digits: int = REPORT_DIGITS) -> float:
     return float(f"{x:.{digits}g}")
 
 
-def _matrix_values(m) -> list[list[float]]:
-    return [[round_sig(v) for v in row] for row in m.values]
-
-
 def build_validate_report(
     space: OutcomeSpace,
     named_raws: list[tuple[str, list[tuple[float, float]]]],
@@ -266,23 +280,45 @@ def build_validate_report(
     }
 
 
-def build_measure_report(s: SourceSet) -> dict:
-    compat = pairwise_matrix(s, "compatibility")
-    confl = pairwise_matrix(s, "conflict")
-    return {
+def _measure(s: SourceSet) -> tuple[dict, PairwiseMatrix]:
+    """The measure report and the unrounded compatibility matrix behind it,
+    all read off one Gram matrix."""
+    g = gram(s)
+    r = len(g)
+    compat = matrix_from_gram(g, "compatibility")
+    # conflict = 1 - compatibility, exactly as conflict() computes it; each
+    # unordered pair is rounded once and mirrored.
+    compat_rounded = [[1.0] * r for _ in range(r)]
+    conflict_rounded = [[0.0] * r for _ in range(r)]
+    for k, row in enumerate(compat.values):
+        for h in range(k + 1, r):
+            c = row[h]
+            compat_rounded[k][h] = compat_rounded[h][k] = round_sig(c)
+            conflict_rounded[k][h] = conflict_rounded[h][k] = round_sig(1.0 - c)
+    report = {
         "sources": list(s.names),
-        "per_source_iq": {
-            name: round_sig(information_quality(dist)) for name, dist in s.sources
-        },
-        "compatibility": _matrix_values(compat),
-        "conflict": _matrix_values(confl),
-        "aggregate_iq": round_sig(aggregate_quality(s)),
+        "per_source_iq": {name: round_sig(g[k][k]) for k, name in enumerate(s.names)},
+        "compatibility": compat_rounded,
+        "conflict": conflict_rounded,
+        "aggregate_iq": round_sig(subset_quality(g, range(r))),
     }
+    return report, compat
 
 
-def build_fuse_report(s: SourceSet, weights: CredibilityWeights) -> dict:
+def build_measure_report(s: SourceSet) -> dict:
+    return _measure(s)[0]
+
+
+def build_fuse_report(s: SourceSet, weights: CredibilityWeights | None = None) -> dict:
+    """The measure report plus credibility, the fused vector and its quality.
+
+    ``weights=None`` means credibility_weights(s), read off the report's own
+    compatibility matrix.
+    """
+    report, compat = _measure(s)
+    if weights is None:
+        weights = weights_from_compatibility(compat)
     fused = fuse(s, weights)
-    report = build_measure_report(s)
     report["credibility"] = {
         name: round_sig(w) for name, w in zip(s.names, weights.values)
     }

@@ -28,7 +28,7 @@ from .errors import (
     TooManySourcesForExhaustiveError,
     WeightLengthMismatchError,
 )
-from .measures import gram, pairwise_matrix, subset_quality
+from .measures import PairwiseMatrix, gram, pairwise_matrix, subset_quality
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -93,18 +93,33 @@ def credibility_weights(s: SourceSet) -> CredibilityWeights:
     support(k) is the mean compatibility of source k with every other
     source; weights are supports normalized to sum to 1.  A single source
     gets weight 1; mutually orthogonal sources (all supports zero) fall
-    back to uniform weights.
+    back to uniform weights.  Each support sums row k in ascending h, and
+    the total sums the supports in ascending k, both in explicit loops
+    (see weights_from_compatibility).
     """
-    r = len(s)
+    return weights_from_compatibility(pairwise_matrix(s, "compatibility"))
+
+
+def weights_from_compatibility(matrix: PairwiseMatrix) -> CredibilityWeights:
+    """credibility_weights read off an existing compatibility matrix.
+
+    Sums run left to right from 0.0 in explicit loops, so Python 3.12's
+    compensated float sum() cannot change the weights.
+    """
+    r = matrix.size
     if r == 1:
         return CredibilityWeights((1.0,))
 
-    matrix = pairwise_matrix(s, "compatibility")
-    supports = [
-        sum(matrix.values[k][h] for h in range(r) if h != k) / (r - 1)
-        for k in range(r)
-    ]
-    total = sum(supports)
+    supports = []
+    total = 0.0
+    for k, row in enumerate(matrix.values):
+        acc = 0.0
+        for h in range(r):
+            if h != k:
+                acc += row[h]
+        support = acc / (r - 1)
+        supports.append(support)
+        total += support
     if total > 0.0:
         return CredibilityWeights(tuple(sp / total for sp in supports))
     return CredibilityWeights((1.0 / r,) * r)

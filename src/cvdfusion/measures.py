@@ -17,9 +17,21 @@ cannot degenerate; a defensive assertion fires if a norm underflows 1e-15,
 which would mean an invalid value escaped construction.
 
 On a source set every measure is read off the real Gram matrix
-G[k][h] = Re<C_k, C_h> (``gram``: information_quality on the diagonal, one
-inner product per unordered pair, mirrored exactly); subset qualities sum G
-in the order the subset lists its sources (``subset_quality``).
+G[k][h] = Re<C_k, C_h>, built once by ``gram`` from float rows: each source
+is split once into a tuple of real parts and a tuple of imaginary parts, and
+each unordered pair (k <= h) is the explicit loop
+
+    acc = 0.0
+    for p, q, u, v in zip(re_k, im_k, re_h, im_h):
+        acc += p*u + q*v
+
+mirrored exactly.  This is bit for bit inner_product(C_k, C_h).real (and, on
+the diagonal, information_quality(C_k)): CPython takes the real part of
+x * conj(y) as x.re*y.re - x.im*(-y.im), which is exactly x.re*y.re +
+x.im*y.im, and the complex sum also adds real parts left to right from 0.0.
+``matrix_from_gram`` turns G into any pairwise matrix (one square root per
+source); subset qualities sum G in the order the subset lists its sources
+(``subset_quality``).
 """
 
 from __future__ import annotations
@@ -67,19 +79,22 @@ def norm(a: CvdVector) -> float:
     return math.sqrt(information_quality(a))
 
 
-def _cosine(g_ab: float, g_aa: float, g_bb: float) -> float:
+def _norm_of(g_aa: float) -> float:
     na = math.sqrt(g_aa)
-    nb = math.sqrt(g_bb)
-    assert na > _NORM_FLOOR and nb > _NORM_FLOOR, (
-        "norm underflow: an invalid vector escaped construction"
-    )
+    assert na > _NORM_FLOOR, "norm underflow: an invalid vector escaped construction"
+    return na
+
+
+def _cosine(g_ab: float, na: float, nb: float) -> float:
     return min(1.0, max(-1.0, g_ab / (na * nb)))
 
 
 def cosine_angle(a: CvdVector, b: CvdVector) -> float:
     """Cosine of the angle between a and b, clamped into [-1, 1]."""
     g_ab = inner_product(a, b).real
-    return _cosine(g_ab, information_quality(a), information_quality(b))
+    return _cosine(
+        g_ab, _norm_of(information_quality(a)), _norm_of(information_quality(b))
+    )
 
 
 def compatibility(a: CvdVector, b: CvdVector) -> float:
@@ -97,14 +112,28 @@ def conflict(a: CvdVector, b: CvdVector) -> float:
 
 
 def gram(s: SourceSet) -> list[list[float]]:
-    """Real Gram matrix G[k][h] = Re<C_k, C_h>, each unordered pair once."""
-    vectors = s.vectors
-    r = len(vectors)
+    """Real Gram matrix G[k][h] = Re<C_k, C_h>, each unordered pair once.
+
+    Each source becomes one (real parts, imaginary parts) pair of float
+    tuples; each pair k <= h is summed in ascending outcome order from 0.0
+    as p*u + q*v, which equals inner_product(C_k, C_h).real bit for bit
+    (and information_quality(C_k) on the diagonal).  The loop is explicit:
+    float sum() rounds differently from Python 3.12 on.
+    """
+    rows = [
+        (tuple(c.real for c in v.entries), tuple(c.imag for c in v.entries))
+        for v in s.vectors
+    ]
+    r = len(rows)
     g = [[0.0] * r for _ in range(r)]
     for k in range(r):
-        g[k][k] = information_quality(vectors[k])
-        for h in range(k + 1, r):
-            g[k][h] = g[h][k] = inner_product(vectors[k], vectors[h]).real
+        ar, ai = rows[k]
+        for h in range(k, r):
+            br, bi = rows[h]
+            acc = 0.0
+            for p, q, u, v in zip(ar, ai, br, bi):
+                acc += p * u + q * v
+            g[k][h] = g[h][k] = acc
     return g
 
 
@@ -161,8 +190,12 @@ _OF_COSINE = {
 }
 
 
-def pairwise_matrix(s: SourceSet, kind: str) -> PairwiseMatrix:
-    """Tabulate compatibility, conflict or cosine over all source pairs."""
+def matrix_from_gram(g: Sequence[Sequence[float]], kind: str) -> PairwiseMatrix:
+    """Tabulate compatibility, conflict or cosine from a Gram matrix.
+
+    Each source's norm sqrt(G[k][k]) is taken once; each unordered pair is
+    computed once and mirrored.
+    """
     try:
         of_cosine = _OF_COSINE[kind]
     except KeyError:
@@ -170,10 +203,16 @@ def pairwise_matrix(s: SourceSet, kind: str) -> PairwiseMatrix:
             f"unknown matrix kind {kind!r}, expected one of {sorted(_OF_COSINE)}"
         ) from None
 
-    g = gram(s)
     r = len(g)
+    norms = [_norm_of(g[k][k]) for k in range(r)]
     grid = [[of_cosine(1.0)] * r for _ in range(r)]
     for k in range(r):
+        gk, nk = g[k], norms[k]
         for h in range(k + 1, r):
-            grid[k][h] = grid[h][k] = of_cosine(_cosine(g[k][h], g[k][k], g[h][h]))
+            grid[k][h] = grid[h][k] = of_cosine(_cosine(gk[h], nk, norms[h]))
     return PairwiseMatrix(kind, r, tuple(tuple(row) for row in grid))
+
+
+def pairwise_matrix(s: SourceSet, kind: str) -> PairwiseMatrix:
+    """Tabulate compatibility, conflict or cosine over all source pairs."""
+    return matrix_from_gram(gram(s), kind)

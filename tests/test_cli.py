@@ -2,13 +2,18 @@
 
 import io
 import json
+import re
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cvdfusion.measures
 from cvdfusion.cli import main
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -23,6 +28,10 @@ ORTHOGONAL_JSON = (
     '{"space": ["up", "down"],'
     ' "sources": [{"name": "s1", "values": [[1, 0], [0, 0]]},'
     '             {"name": "s2", "values": [[0, 0], [1, 0]]}]}'
+)
+
+TWO_SOURCE_CSV = (
+    "name,up_re,up_im,down_re,down_im\ns1,0.5,0.3,0.5,-0.3\ns2,0.6,-0.2,0.4,0.2\n"
 )
 
 FOUR_SOURCE_JSON = json.dumps(
@@ -94,15 +103,24 @@ class TestMeasure:
         assert json.loads(out)["aggregate_iq"] == 0.51
 
     def test_csv_input(self, capsys, tmp_path):
-        path = write(
-            tmp_path,
-            "pair.csv",
-            "name,up_re,up_im,down_re,down_im\ns1,0.5,0.3,0.5,-0.3\ns2,0.6,-0.2,0.4,0.2\n",
-        )
+        path = write(tmp_path, "pair.csv", TWO_SOURCE_CSV)
         _, out_csv, _ = run_cli(capsys, "measure", "--input", path)
         json_path = write(tmp_path, "pair.json", TWO_SOURCE_JSON)
         _, out_json, _ = run_cli(capsys, "measure", "--input", json_path)
         assert json.loads(out_csv) == json.loads(out_json)
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [("pair.json", TWO_SOURCE_JSON), ("pair.csv", TWO_SOURCE_CSV)],
+        ids=["json", "csv"],
+    )
+    def test_utf8_byte_order_mark_is_ignored(self, capsys, tmp_path, name, text):
+        plain = write(tmp_path, name, text)
+        marked = tmp_path / f"bom-{name}"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        expected = run_cli(capsys, "measure", "--input", plain)
+        assert expected[0] == 0
+        assert run_cli(capsys, "measure", "--input", str(marked)) == expected
 
 
 class TestFuse:
@@ -283,6 +301,27 @@ class TestExitCodes:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("digits", [309, 5000])
+    def test_long_json_integer_is_non_finite(self, capsys, tmp_path, digits):
+        # 309-4300 digits overflowed float(); more hit int()'s digit limit.
+        doc = TWO_SOURCE_JSON.replace("[0.6, -0.2]", "[" + "9" * digits + ", 0]")
+        path = write(tmp_path, "long.json", doc)
+        code, out, err = run_cli(capsys, "measure", "--input", path)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "NonFinite"
+        assert record["source"] == "s2"
+
+    def test_deeply_nested_json_is_malformed(self, capsys, tmp_path):
+        path = write(tmp_path, "deep.json", '{"space": ' + "[" * 100_000)
+        code, out, err = run_cli(capsys, "measure", "--input", path)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "MalformedSyntax"
+
     def test_stderr_records_are_single_line_json(self, capsys, tmp_path):
         path = write(tmp_path, "broken.json", "{")
         _, _, err = run_cli(capsys, "measure", "--input", path)
@@ -326,3 +365,98 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["aggregate_iq"] == 0.51
+
+
+class TestOneGramPerDocument:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["measure"],
+            ["fuse"],
+            ["fuse", "--weights", "0.25,0.25,0.25,0.25"],
+            ["select", "--strategy", "exhaustive"],
+            ["select", "--strategy", "greedy"],
+        ],
+    )
+    def test_gram_built_once(self, capsys, tmp_path, monkeypatch, argv):
+        original = cvdfusion.measures.gram
+        built = []
+
+        def counting_gram(s):
+            built.append(len(s))
+            return original(s)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] != "cvdfusion":
+                continue
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting_gram)
+        path = write(tmp_path, "four.json", FOUR_SOURCE_JSON)
+        code, _, _ = run_cli(capsys, *argv, "--input", path)
+        assert code == 0
+        assert built == [4]
+
+
+# --- CLI fuzzing: any input bytes give a report or one JSON error line ---
+
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+_VALID_DOCUMENTS = (TWO_SOURCE_JSON, FOUR_SOURCE_JSON, TWO_SOURCE_CSV)
+
+
+@st.composite
+def _mutated_document(draw):
+    text = draw(st.sampled_from(_VALID_DOCUMENTS))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["bom", "number", "nest", "truncate"]))
+        if kind == "bom":
+            text = "\ufeff" + text
+        elif kind == "number":
+            spans = [m.span() for m in _NUMBER.finditer(text)]
+            if spans:
+                lo, hi = draw(st.sampled_from(spans))
+                replacement = draw(
+                    st.sampled_from(["NaN", "Infinity", "-Infinity", "nan", "inf"])
+                    | st.integers(300, 5000).map(lambda d: "9" * d)
+                )
+                text = text[:lo] + replacement + text[hi:]
+        elif kind == "nest":
+            at = draw(st.integers(0, len(text)))
+            depth = draw(st.sampled_from([1, 50, 5000, 100_000]))
+            text = text[:at] + "[" * depth + text[at:]
+        else:
+            text = text[: draw(st.integers(0, len(text)))]
+    return text.encode("utf-8")
+
+
+def _run_on_stdin(argv, data):
+    stdin, sys.stdin = sys.stdin, io.TextIOWrapper(io.BytesIO(data))
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv + ["--input", "-"])
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_report_or_one_error_line(data):
+    for argv in (["validate"], ["measure"], ["fuse"], ["select"]):
+        code, _, err = _run_on_stdin(argv, data)
+        assert code in (0, 1, 2, 3)
+        assert (code == 0) == (err == "")
+        if err:
+            assert err.count("\n") == 1 and err.endswith("\n")
+            assert "error" in json.loads(err)
+
+
+class TestFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(st.binary(max_size=200))
+    def test_arbitrary_bytes(self, data):
+        _assert_report_or_one_error_line(data)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_mutated_document())
+    def test_mutated_documents(self, data):
+        _assert_report_or_one_error_line(data)

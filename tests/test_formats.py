@@ -240,6 +240,7 @@ class TestReports:
             s = make_source_set(space, random_named_raws(rng, r, n))
             report = build_fuse_report(s, credibility_weights(s))
             make_cvd(s.space, report["fused"])
+            assert build_fuse_report(s) == report  # weights=None: same credibility
 
     def test_select_report(self):
         s = parse_source_file(TWO_SOURCE_JSON)

@@ -32,6 +32,8 @@ from cvdfusion import (
     select_sources,
 )
 
+from cvdfusion.measures import gram
+
 from oracles import ref_gini, ref_real_aggregate
 
 TOL = 1e-9
@@ -250,6 +252,21 @@ class TestAggregateProperties:
     def test_real_degeneration(self, s):
         ps = [[c.real for c in v.entries] for v in s.vectors]
         assert abs(aggregate_quality(s) - ref_real_aggregate(ps)) <= TIGHT
+
+
+class TestGramProperties:
+    @given(
+        st.one_of(
+            source_sets(max_r=6, max_n=8), source_sets(max_r=6, max_n=8, real_only=True)
+        )
+    )
+    def test_entries_are_exact_inner_products(self, s):
+        g = gram(s)
+        vs = s.vectors
+        for k, a in enumerate(vs):
+            assert g[k][k] == information_quality(a)
+            for h, b in enumerate(vs):
+                assert g[k][h] == inner_product(a, b).real
 
 
 class TestMatrixProperties:
