@@ -36,9 +36,18 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpShown(Exception):
+    pass
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+    def exit(self, status=0, message=None):
+        # Reached only after --help (error() raises first): main returns 0
+        # instead of letting SystemExit escape.
+        raise _HelpShown
 
 
 def _emit_error(code: str, message: str, source: str | None = None) -> None:
@@ -174,10 +183,12 @@ def main(argv=None) -> int:
     except _UsageError as err:
         _emit_error("Usage", str(err))
         return EXIT_USAGE
+    except _HelpShown:
+        return EXIT_OK
 
     try:
         data = _read_input(args.input)
-    except OSError as err:
+    except (OSError, ValueError) as err:  # ValueError: a NUL in the path
         _emit_error("IOError", str(err))
         return EXIT_IO
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Any
 
 from .core import DEFAULT_TOL, OutcomeSpace, SourceSet, make_cvd, make_source_set
 from .errors import (
@@ -48,10 +47,6 @@ from .measures import (
 REPORT_DIGITS = 12
 
 RawDocument = tuple[OutcomeSpace, list[tuple[str, list[tuple[float, float]]]]]
-
-
-def _is_number(x: Any) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def detect_format(text: str) -> str:
@@ -110,15 +105,18 @@ def _parse_json_document(text: str) -> RawDocument:
             raise SchemaViolationError(f"{where}.values must be an array")
         pairs: list[tuple[float, float]] = []
         for j, pair in enumerate(values):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(_is_number(x) for x in pair)
+            # Every JSON number decodes to float (parse_int=float), so the
+            # type test alone rejects bools, strings and null.
+            if not (
+                type(pair) is list
+                and len(pair) == 2
+                and type(pair[0]) is float
+                and type(pair[1]) is float
             ):
                 raise SchemaViolationError(
                     f"{where}.values[{j}] must be a [re, im] pair of numbers"
                 )
-            pairs.append((float(pair[0]), float(pair[1])))
+            pairs.append((pair[0], pair[1]))
         named_raws.append((name, pairs))
     return space, named_raws
 
@@ -338,4 +336,5 @@ def build_select_report(s: SourceSet, result: SelectionResult) -> dict:
 
 
 def render_report(report: dict, pretty: bool = False) -> str:
-    return json.dumps(report, indent=2 if pretty else None)
+    # allow_nan=False: a NaN or infinity raises instead of printing invalid JSON.
+    return json.dumps(report, indent=2 if pretty else None, allow_nan=False)

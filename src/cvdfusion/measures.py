@@ -13,20 +13,26 @@ the same outcome space:
 The cosine/compatibility numerators are the Hermitian-symmetric average
 (<a,b> + <b,a>) / 2, which equals Re<a,b>; they are computed via the real
 part directly.  Valid vectors have norm >= 1/sqrt(n) > 0, so the divisions
-cannot degenerate; a defensive assertion fires if a norm underflows 1e-15,
-which would mean an invalid value escaped construction.
+cannot degenerate; a defensive check raises AssertionError (also under
+python -O) if a norm underflows 1e-15, which would mean an invalid value
+escaped construction.
 
 On a source set every measure is read off the real Gram matrix
-G[k][h] = Re<C_k, C_h>, built once by ``gram`` from float rows: each source
-is split once into a tuple of real parts and a tuple of imaginary parts, and
-each unordered pair (k <= h) is the explicit loop
+G[k][h] = Re<C_k, C_h>, computed from float rows: each source is split once
+into a tuple of real parts and a tuple of imaginary parts (``float_rows``),
+and every product is the explicit loop
 
     acc = 0.0
     for p, q, u, v in zip(re_k, im_k, re_h, im_h):
         acc += p*u + q*v
 
-mirrored exactly.  This is bit for bit inner_product(C_k, C_h).real (and, on
-the diagonal, information_quality(C_k)): CPython takes the real part of
+of ``row_products``, which returns one source's products with a list of
+sources.  ``gram`` builds all of G with one such call per row, each
+unordered pair (k <= h) once and mirrored exactly; greedy selection reads
+Gram rows on demand instead, the diagonal plus the row of each source it
+adds, and gets the same bits because p*u + q*v is symmetric bit for bit.
+Every product is bit for bit inner_product(C_k, C_h).real (and, on the
+diagonal, information_quality(C_k)): CPython takes the real part of
 x * conj(y) as x.re*y.re - x.im*(-y.im), which is exactly x.re*y.re +
 x.im*y.im, and the complex sum also adds real parts left to right from 0.0.
 ``matrix_from_gram`` turns G into any pairwise matrix (one square root per
@@ -69,9 +75,9 @@ def information_quality(a: CvdVector) -> float:
     For a real-valued (probability) vector p this is sum_j p_j^2, i.e.
     1 - Gini(p): bounded in [1/n, 1].  Complex entries can push it up to n.
     """
-    ip = inner_product(a, a)
-    assert abs(ip.imag) <= 1e-12, "self inner product must be real"
-    return ip.real
+    # The imaginary part is exactly 0: CPython forms each x * conj(x) as
+    # xi*xr + xr*(-xi).
+    return inner_product(a, a).real
 
 
 def norm(a: CvdVector) -> float:
@@ -81,7 +87,11 @@ def norm(a: CvdVector) -> float:
 
 def _norm_of(g_aa: float) -> float:
     na = math.sqrt(g_aa)
-    assert na > _NORM_FLOOR, "norm underflow: an invalid vector escaped construction"
+    if not na > _NORM_FLOOR:
+        # Raised explicitly, not asserted, so that python -O keeps the check.
+        raise AssertionError(
+            "norm underflow: an invalid vector escaped construction"
+        )
     return na
 
 
@@ -111,29 +121,49 @@ def conflict(a: CvdVector, b: CvdVector) -> float:
     return 1.0 - compatibility(a, b)
 
 
-def gram(s: SourceSet) -> list[list[float]]:
-    """Real Gram matrix G[k][h] = Re<C_k, C_h>, each unordered pair once.
+FloatRow = tuple[tuple[float, ...], tuple[float, ...]]
 
-    Each source becomes one (real parts, imaginary parts) pair of float
-    tuples; each pair k <= h is summed in ascending outcome order from 0.0
-    as p*u + q*v, which equals inner_product(C_k, C_h).real bit for bit
-    (and information_quality(C_k) on the diagonal).  The loop is explicit:
-    float sum() rounds differently from Python 3.12 on.
-    """
-    rows = [
+
+def float_rows(s: SourceSet) -> list[FloatRow]:
+    """Each source as one (real parts, imaginary parts) pair of float tuples."""
+    return [
         (tuple(c.real for c in v.entries), tuple(c.imag for c in v.entries))
         for v in s.vectors
     ]
+
+
+def row_products(row: FloatRow, rows: Sequence[FloatRow]) -> list[float]:
+    """Re<row, other> for each other in rows: the one Gram kernel.
+
+    Each product is summed in ascending outcome order from 0.0 as p*u + q*v,
+    which equals inner_product(...).real bit for bit; p*u + q*v is also
+    symmetric bit for bit, so any row equals the matching Gram entries.
+    The loop is explicit: float sum() rounds differently from Python 3.12 on.
+    """
+    ar, ai = row
+    out = []
+    for br, bi in rows:
+        acc = 0.0
+        for p, q, u, v in zip(ar, ai, br, bi):
+            acc += p * u + q * v
+        out.append(acc)
+    return out
+
+
+def gram(s: SourceSet) -> list[list[float]]:
+    """Real Gram matrix G[k][h] = Re<C_k, C_h>, each unordered pair once.
+
+    Row k's products with sources k..r-1 come from one row_products call
+    and are mirrored, so G equals inner_product(C_k, C_h).real bit for bit
+    (and information_quality(C_k) on the diagonal).
+    """
+    rows = float_rows(s)
     r = len(rows)
     g = [[0.0] * r for _ in range(r)]
     for k in range(r):
-        ar, ai = rows[k]
-        for h in range(k, r):
-            br, bi = rows[h]
-            acc = 0.0
-            for p, q, u, v in zip(ar, ai, br, bi):
-                acc += p * u + q * v
-            g[k][h] = g[h][k] = acc
+        gk = g[k]
+        for h, acc in enumerate(row_products(rows[k], rows[k:]), k):
+            gk[h] = g[h][k] = acc
     return g
 
 

@@ -367,6 +367,39 @@ class TestEntryPoints:
         assert json.loads(proc.stdout)["aggregate_iq"] == 0.51
 
 
+def _record_calls(monkeypatch, original, record):
+    """Wrap every binding of ``original`` in the cvdfusion modules.
+
+    Returns the list that gets ``record(*args)`` of each call.
+    """
+    calls = []
+
+    def wrapper(*args):
+        calls.append(record(*args))
+        return original(*args)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] != "cvdfusion":
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, wrapper)
+    return calls
+
+
+def _sharp_sources_json(r):
+    """r real sources on four outcomes, each peaked on a different outcome."""
+    sources = []
+    for k in range(r):
+        weights = [1.0 + (k * 7 + 3 * j) % 11 for j in range(4)]
+        weights[k % 4] += 10.0 + k
+        total = sum(weights)
+        sources.append(
+            {"name": f"s{k}", "values": [[w / total, 0.0] for w in weights]}
+        )
+    return json.dumps({"space": ["a", "b", "c", "d"], "sources": sources})
+
+
 class TestOneGramPerDocument:
     @pytest.mark.parametrize(
         "argv",
@@ -375,27 +408,54 @@ class TestOneGramPerDocument:
             ["fuse"],
             ["fuse", "--weights", "0.25,0.25,0.25,0.25"],
             ["select", "--strategy", "exhaustive"],
-            ["select", "--strategy", "greedy"],
         ],
     )
     def test_gram_built_once(self, capsys, tmp_path, monkeypatch, argv):
-        original = cvdfusion.measures.gram
-        built = []
-
-        def counting_gram(s):
-            built.append(len(s))
-            return original(s)
-
-        for module_name, module in list(sys.modules.items()):
-            if module_name.split(".")[0] != "cvdfusion":
-                continue
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counting_gram)
+        built = _record_calls(monkeypatch, cvdfusion.measures.gram, len)
         path = write(tmp_path, "four.json", FOUR_SOURCE_JSON)
         code, _, _ = run_cli(capsys, *argv, "--input", path)
         assert code == 0
         assert built == [4]
+
+    @pytest.mark.parametrize("min_size", [1, 5])
+    def test_greedy_computes_only_the_rows_it_reads(
+        self, capsys, tmp_path, monkeypatch, min_size
+    ):
+        # Greedy needs the diagonal plus one Gram row per chosen source: at
+        # most r + len(chosen) * r pair products, and no full Gram matrix.
+        built = _record_calls(monkeypatch, cvdfusion.measures.gram, len)
+        products = _record_calls(
+            monkeypatch, cvdfusion.measures.row_products, lambda row, rows: len(rows)
+        )
+        r = 40
+        path = write(tmp_path, "wide.json", _sharp_sources_json(r))
+        code, out, _ = run_cli(
+            capsys, "select", "--strategy", "greedy", "--min-size", str(min_size),
+            "--input", path,
+        )
+        assert code == 0
+        chosen = json.loads(out)["selection"]["chosen"]
+        assert len(chosen) >= min_size
+        assert built == []
+        assert 0 < sum(products) <= r + len(chosen) * r
+
+
+class TestOptimizedInterpreter:
+    @pytest.mark.parametrize(
+        "argv", [["measure"], ["select", "--strategy", "exhaustive"]]
+    )
+    def test_python_dash_O_output_is_identical(self, tmp_path, argv):
+        path = write(tmp_path, "four.json", FOUR_SOURCE_JSON)
+        outputs = []
+        for flags in ([], ["-O"]):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "cvdfusion", *argv, "--input", path],
+                capture_output=True,
+            )
+            assert proc.returncode == 0
+            assert proc.stderr == b""
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
 
 # --- CLI fuzzing: any input bytes give a report or one JSON error line ---
@@ -450,7 +510,59 @@ def _assert_report_or_one_error_line(data):
             assert "error" in json.loads(err)
 
 
+_ARGV_TOKENS = (
+    "validate", "measure", "fuse", "select",
+    "--input", "--tol", "--pretty", "--weights", "--strategy", "--min-size",
+    "-h", "--help", "--in", "--strategy=greedy",
+    "exhaustive", "greedy", "0", "1", "2", "5", "-1", "1e-9", "1e-320", "nan",
+    "inf", "0.25,0.25,0.25,0.25", "0.5,0.5", "nan,nan", "", "-", "INPUT",
+)  # fmt: skip
+_INPUTS = ("VALID", "MISSING", "-")
+
+
+@st.composite
+def _argv(draw):
+    token = st.sampled_from(_ARGV_TOKENS) | st.text(max_size=10)
+    argv = draw(st.lists(token, max_size=7))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at] = ["--input", "INPUT"]
+    where = draw(st.sampled_from(_INPUTS))
+    return argv, where
+
+
+@pytest.fixture(scope="module")
+def input_paths(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("argv")
+    valid = directory / "four.json"
+    valid.write_text(FOUR_SOURCE_JSON, encoding="utf-8")
+    return {"VALID": str(valid), "MISSING": str(directory / "absent.json"), "-": "-"}
+
+
 class TestFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(_argv())
+    def test_arbitrary_argv(self, input_paths, drawn):
+        argv, where = drawn
+        argv = [input_paths[where] if a == "INPUT" else a for a in argv]
+        stdin = sys.stdin
+        sys.stdin = io.TextIOWrapper(io.BytesIO(FOUR_SOURCE_JSON.encode("utf-8")))
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+        except SystemExit as exit_:
+            pytest.fail(f"SystemExit({exit_.code}) escaped main({argv!r})")
+        finally:
+            sys.stdin = stdin
+        assert code in (0, 1, 2, 3)
+        err = err.getvalue()
+        if code == 0:
+            assert err == ""
+        else:
+            assert err.count("\n") == 1 and err.endswith("\n")
+            assert "error" in json.loads(err)
+
     @settings(max_examples=60, deadline=None)
     @given(st.binary(max_size=200))
     def test_arbitrary_bytes(self, data):

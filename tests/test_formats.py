@@ -24,6 +24,7 @@ from cvdfusion.formats import (
     build_validate_report,
     detect_format,
     parse_raw_document,
+    render_report,
     round_sig,
 )
 from cvdfusion.fusion import credibility_weights, select_sources
@@ -136,6 +137,16 @@ class TestJsonSchemaErrors:
         with pytest.raises(SchemaViolationError):
             parse_source_file(doc)
 
+    @pytest.mark.parametrize(
+        "pair", ["[true, 0]", "[0, false]", '["1", 0]', "[0, null]", "[1, 0, 0]", "{}"]
+    )
+    def test_non_number_pair_message(self, pair):
+        doc = f'{{"space": ["a"], "sources": [{{"name": "s", "values": [{pair}]}}]}}'
+        with pytest.raises(SchemaViolationError) as exc:
+            parse_source_file(doc)
+        message = "sources[0].values[0] must be a [re, im] pair of numbers"
+        assert str(exc.value) == message
+
     def test_duplicate_labels_rejected(self):
         doc = '{"space": ["a", "a"], "sources": [{"name": "s", "values": []}]}'
         with pytest.raises(InvalidOutcomeSpaceError):
@@ -209,6 +220,11 @@ class TestReports:
         assert round_sig(0.51) == 0.51
         assert round_sig(1.0) == 1.0
         assert round_sig(1.2345678901234567e-07, digits=3) == 1.23e-07
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_render_refuses_non_finite_numbers(self, value):
+        with pytest.raises(ValueError):
+            render_report({"aggregate_iq": value})
 
     def test_measure_report_shape(self):
         s = parse_source_file(TWO_SOURCE_JSON)

@@ -234,6 +234,18 @@ class TestSelectSources:
             exhaustive.achieved_quality, abs=1e-12
         )
 
+    def test_copies_of_the_best_source_pick_exactly_min_size(self):
+        # The mean of three copies sums to one ulp above the copies' own
+        # quality; exhaustive search must not let that rounding pick them all.
+        raw = [(0.03, 0.0), (0.97, 0.0)]
+        s = _set([("s1", raw), ("s2", raw), ("s3", raw)])
+        single = information_quality(s.vectors[0])
+        assert aggregate_quality(s) > single
+        for min_size in (1, 2, 3):
+            result = select_sources(s, "exhaustive", min_size=min_size)
+            assert result.chosen == tuple(range(min_size))
+        assert select_sources(s, "exhaustive").achieved_quality == single
+
     def test_min_size_forces_larger_subsets(self):
         s = _set(SHARP_PLUS_UNIFORM, labels=LABELS4)
         result = select_sources(s, "exhaustive", min_size=4)

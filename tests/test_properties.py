@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from cvdfusion import (
     CredibilityWeights,
     OutcomeSpace,
+    SelectionResult,
     aggregate_quality,
     compatibility,
     conflict,
@@ -32,7 +33,7 @@ from cvdfusion import (
     select_sources,
 )
 
-from cvdfusion.measures import gram
+from cvdfusion.measures import gram, subset_quality
 
 from oracles import ref_gini, ref_real_aggregate
 
@@ -113,6 +114,17 @@ def source_sets(draw, max_r=8, max_n=10, min_r=1, real_only=False):
         (f"s{k}", draw(raw_vectors(n, real_only=real_only))) for k in range(r)
     ]
     return make_source_set(space, named)
+
+
+@st.composite
+def sets_with_copies(draw, max_r=7, max_n=6):
+    """Source sets where sources often repeat, bit for bit, any number of times."""
+    distinct = draw(source_sets(max_r=max_r, max_n=max_n))
+    picks = draw(
+        st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=max_r)
+    )
+    named = [(f"c{k}", distinct.vectors[i].as_pairs()) for k, i in enumerate(picks)]
+    return make_source_set(distinct.space, named)
 
 
 @st.composite
@@ -336,6 +348,44 @@ class TestSelectionProperties:
         assert abs(
             greedy.achieved_quality - aggregate_quality(s.subset(greedy.chosen))
         ) <= TIGHT
+
+
+    @settings(deadline=None)
+    @given(st.one_of(sets_with_copies(), source_sets(max_r=7, max_n=6)), st.data())
+    def test_exhaustive_picks_exactly_min_size(self, s, data):
+        min_size = data.draw(st.integers(1, len(s)))
+        result = select_sources(s, "exhaustive", min_size=min_size)
+        assert len(result.chosen) == min_size
+
+    @settings(deadline=None)
+    @given(st.one_of(sets_with_copies(), source_sets(max_r=8, max_n=6)), st.data())
+    def test_greedy_matches_full_gram_reference(self, s, data):
+        min_size = data.draw(st.integers(1, len(s)))
+        result = select_sources(s, "greedy", min_size=min_size)
+        expected = _greedy_on_full_gram(s, min_size)
+        assert result == expected
+        assert result.achieved_quality.hex() == expected.achieved_quality.hex()
+
+
+def _greedy_on_full_gram(s, min_size):
+    """Greedy selection scored from the whole Gram matrix, built up front."""
+    g = gram(s)
+    r = len(s)
+    chosen = [max(range(r), key=lambda k: g[k][k])]
+    remaining = [k for k in range(r) if k != chosen[0]]
+    prefixes = [(subset_quality(g, chosen), tuple(chosen))]
+    while remaining:
+        quality, candidate = max(
+            ((subset_quality(g, chosen + [k]), k) for k in remaining),
+            key=lambda item: item[0],
+        )
+        if len(chosen) >= min_size and not quality > prefixes[-1][0]:
+            break
+        chosen.append(candidate)
+        remaining.remove(candidate)
+        prefixes.append((quality, tuple(chosen)))
+    quality, best = max(prefixes[min_size - 1 :], key=lambda item: item[0])
+    return SelectionResult(best, quality, "greedy")
 
 
 if __name__ == "__main__":
