@@ -169,6 +169,33 @@ def make_cvd(
     return CvdVector(space, tuple(entries))
 
 
+def _validate_each(space: OutcomeSpace, named_raws: Sequence, tol: float):
+    """The one validation route behind make_source_set and the validate report.
+
+    Raises CvdError for an empty list or a tol that is not finite and
+    positive, before anything is yielded.  Then yields (name, CvdVector or
+    CvdError) per source, in input order: a repeated name gives a
+    DuplicateNameError without ``source``; any other error is make_cvd's,
+    with ``source`` set to the name.
+    """
+    if len(named_raws) < 1:
+        raise CvdError("a source set needs at least one source")
+    _check_tol(tol)
+
+    seen: set[str] = set()
+    for name, raw in named_raws:
+        if name in seen:
+            yield name, DuplicateNameError(f"duplicate source name {name!r}")
+            continue
+        seen.add(name)
+        try:
+            outcome = make_cvd(space, raw, tol=tol)
+        except CvdError as err:
+            err.source = name
+            outcome = err
+        yield name, outcome
+
+
 def make_source_set(
     space: OutcomeSpace,
     named_raws: Sequence[tuple[str, Sequence[Sequence[float]]]],
@@ -176,24 +203,15 @@ def make_source_set(
 ) -> SourceSet:
     """Validate every named raw vector and assemble a SourceSet.
 
-    Names must be pairwise distinct; any per-vector validation error is
-    re-raised annotated with the offending source name.
+    Names must be pairwise distinct.  The checks are ``_validate_each``,
+    the route formats.build_validate_report reads too: this raises
+    CvdError for an empty list or a bad tol, then the first per-source
+    error (annotated with the offending source name), validating nothing
+    after it.
     """
-    if len(named_raws) < 1:
-        raise CvdError("a source set needs at least one source")
-    _check_tol(tol)
-
-    seen: set[str] = set()
     sources: list[tuple[str, CvdVector]] = []
-    for name, raw in named_raws:
-        if name in seen:
-            raise DuplicateNameError(f"duplicate source name {name!r}")
-        seen.add(name)
-        try:
-            dist = make_cvd(space, raw, tol=tol)
-        except CvdError as err:
-            err.source = name
-            raise
-        sources.append((name, dist))
-
+    for name, outcome in _validate_each(space, named_raws, tol):
+        if isinstance(outcome, CvdError):
+            raise outcome
+        sources.append((name, outcome))
     return SourceSet(space, tuple(sources))

@@ -23,13 +23,8 @@ import csv
 import io
 import json
 
-from .core import DEFAULT_TOL, OutcomeSpace, SourceSet, make_cvd, make_source_set
-from .errors import (
-    CvdError,
-    DuplicateNameError,
-    MalformedSyntaxError,
-    SchemaViolationError,
-)
+from .core import DEFAULT_TOL, OutcomeSpace, SourceSet, _validate_each, make_source_set
+from .errors import CvdError, MalformedSyntaxError, SchemaViolationError
 from .fusion import (
     CredibilityWeights,
     SelectionResult,
@@ -249,28 +244,20 @@ def build_validate_report(
     named_raws: list[tuple[str, list[tuple[float, float]]]],
     tol: float = DEFAULT_TOL,
 ) -> dict:
-    """Per-source validation verdicts; 'valid' is the overall conjunction."""
+    """Per-source validation verdicts; 'valid' is the overall conjunction.
+
+    The verdicts come from core._validate_each, the route make_source_set
+    takes, so 'valid' is true exactly when make_source_set succeeds and the
+    first invalid verdict carries its error.  Like make_source_set, this
+    raises CvdError for an empty source list or a tol that is not finite
+    and positive.
+    """
     verdicts = []
-    seen: set[str] = set()
-    for name, raw in named_raws:
-        error: CvdError | None = None
-        if name in seen:
-            error = DuplicateNameError(f"duplicate source name {name!r}")
-        else:
-            seen.add(name)
-            try:
-                make_cvd(space, raw, tol=tol)
-            except CvdError as err:
-                error = err
-        verdicts.append(
-            {
-                "name": name,
-                "valid": error is None,
-                "error": None
-                if error is None
-                else {"code": error.code, "message": error.message},
-            }
-        )
+    for name, outcome in _validate_each(space, named_raws, tol):
+        error = None
+        if isinstance(outcome, CvdError):
+            error = {"code": outcome.code, "message": outcome.message}
+        verdicts.append({"name": name, "valid": error is None, "error": error})
     return {
         "space": list(space.labels),
         "sources": verdicts,

@@ -186,21 +186,20 @@ def _select_greedy(s: SourceSet, min_size: int) -> SelectionResult:
     ]
     chosen = [max(range(r), key=lambda k: g[k][k])]
     remaining = [k for k in range(r) if k != chosen[0]]
-    prefixes = [(subset_quality(g, chosen), tuple(chosen))]
+    quality = subset_quality(g, chosen)
     while remaining:
         g[chosen[-1]] = row_products(rows[chosen[-1]], rows)
-        quality, candidate = max(
+        next_quality, candidate = max(
             ((subset_quality(g, chosen + [k]), k) for k in remaining), key=_first
         )
-        # Below min_size additions are forced; past it, only improvements.
-        if len(chosen) >= min_size and not quality > prefixes[-1][0]:
+        # Below min_size additions are forced; past it, only strict
+        # improvements, so the last set is the best one of size >= min_size.
+        if len(chosen) >= min_size and not next_quality > quality:
             break
         chosen.append(candidate)
         remaining.remove(candidate)
-        prefixes.append((quality, tuple(chosen)))
-    # prefixes[i] has i + 1 sources; the first best one of size >= min_size.
-    quality, best = max(prefixes[min_size - 1 :], key=_first)
-    return SelectionResult(best, quality, "greedy")
+        quality = next_quality
+    return SelectionResult(tuple(chosen), quality, "greedy")
 
 
 def select_sources(
@@ -211,9 +210,10 @@ def select_sources(
     ``exhaustive`` evaluates every subset of size min_size (r <= 15): a
     larger subset's mean averages its leave-one-out means, so by Jensen's
     inequality it never scores higher;
-    ``greedy`` seeds with the highest-quality single source, keeps adding
-    the source with the largest quality gain, and returns the best prefix
-    of size >= min_size.  All ties break to the lowest source index, so
+    ``greedy`` seeds with the highest-quality single source and keeps adding
+    the source with the largest quality gain: the first min_size sources
+    are forced, and it stops at the first later round that does not
+    strictly improve quality.  All ties break to the lowest source index, so
     identical inputs always yield identical results.
     """
     r = len(s)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 import cvdfusion.measures
 from cvdfusion.cli import main
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
 
 TWO_SOURCE_JSON = (
     '{"space": ["up", "down"],'
@@ -58,6 +60,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_child(argv, **kwargs):
+    """subprocess.run in a fresh process that imports cvdfusion from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(argv, env=env, capture_output=True, **kwargs)
 
 
 def write(tmp_path, name, text):
@@ -333,9 +344,8 @@ class TestExitCodes:
 class TestEntryPoints:
     def test_python_dash_m(self, tmp_path):
         path = write(tmp_path, "pair.json", TWO_SOURCE_JSON)
-        proc = subprocess.run(
+        proc = run_child(
             [sys.executable, "-m", "cvdfusion", "measure", "--input", path],
-            capture_output=True,
             text=True,
         )
         assert proc.returncode == 0
@@ -358,13 +368,42 @@ class TestEntryPoints:
                 f"import sys; from {module} import {function}; sys.exit({function}())",
             ]
         path = write(tmp_path, "pair.json", TWO_SOURCE_JSON)
-        proc = subprocess.run(
-            argv + ["measure", "--input", path],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_child(argv + ["measure", "--input", path], text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["aggregate_iq"] == 0.51
+
+
+class TestOneParserPerProcess:
+    def test_repeated_calls_match_fresh_processes(self, capsys, tmp_path, monkeypatch):
+        # main reuses one parser: flags given to one call must not leak into
+        # the next, so each call prints what a fresh process prints.
+        monkeypatch.setenv("COLUMNS", "80")  # same help wrapping in both
+        pair = write(tmp_path, "pair.json", TWO_SOURCE_JSON)
+        four = write(tmp_path, "four.json", FOUR_SOURCE_JSON)
+        calls = [
+            ["fuse", "--weights", "0.7,0.3", "--input", pair],
+            ["fuse", "--input", pair],
+            ["select", "--strategy", "exhaustive", "--min-size", "2", "--input", four],
+            ["select", "--input", four],
+            ["--help"],
+            ["select", "--min-size", "two", "--input", four],
+            ["measure", "--input", pair],
+            ["select", "--help"],
+            ["validate", "--pretty", "--input", four],
+            ["validate", "--input", four],
+        ]
+        results = [run_cli(capsys, *argv) for argv in calls]
+        for argv, (code, out, err) in zip(calls, results):
+            proc = run_child([sys.executable, "-m", "cvdfusion", *argv], text=True)
+            assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr)
+
+        fused_given, fused_credibility = (json.loads(r[1]) for r in results[:2])
+        assert fused_given["credibility"] == {"s1": 0.7, "s2": 0.3}
+        assert fused_credibility["credibility"] == {"s1": 0.5, "s2": 0.5}
+        selection = json.loads(results[3][1])["selection"]
+        assert selection["strategy"] == "greedy"
+        assert len(selection["chosen"]) == 1
+        assert [r[0] for r in results[4:7]] == [0, 3, 0]
 
 
 def _record_calls(monkeypatch, original, record):
@@ -448,9 +487,8 @@ class TestOptimizedInterpreter:
         path = write(tmp_path, "four.json", FOUR_SOURCE_JSON)
         outputs = []
         for flags in ([], ["-O"]):
-            proc = subprocess.run(
-                [sys.executable, *flags, "-m", "cvdfusion", *argv, "--input", path],
-                capture_output=True,
+            proc = run_child(
+                [sys.executable, *flags, "-m", "cvdfusion", *argv, "--input", path]
             )
             assert proc.returncode == 0
             assert proc.stderr == b""

@@ -1,11 +1,15 @@
 """Source-file parsing/emission, round-trips, and report assembly."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvdfusion import (
+    CvdError,
     InvalidOutcomeSpaceError,
     MalformedSyntaxError,
     OutcomeSpace,
@@ -294,3 +298,77 @@ class TestReports:
         report = build_validate_report(space, named_raws)
         assert report["valid"] is True
         assert all(v["error"] is None for v in report["sources"])
+
+
+# --- one validation route: the validate report and make_source_set agree ---
+
+_FAULTS = ("none", "negative", "modulus", "sum", "nan", "short")
+
+
+@st.composite
+def _named_raws_with_faults(draw):
+    """(space, named raws, tol) with planted faults and repeated names."""
+    n = draw(st.integers(1, 5))
+    space = OutcomeSpace(tuple(f"o{j}" for j in range(n)))
+    named_raws = []
+    for _ in range(draw(st.integers(1, 6))):
+        name = draw(st.sampled_from("abcd"))
+        xs = draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n))
+        raw = [[x / sum(xs), 0.0] for x in xs]
+        if n >= 2:
+            im = draw(st.floats(-0.5, 0.5))
+            raw[0][1], raw[1][1] = im, -im
+        fault = draw(st.sampled_from(_FAULTS))
+        j = draw(st.integers(0, n - 1))
+        if fault == "negative":
+            raw[j][0] = -draw(st.floats(1e-6, 1.0))
+        elif fault == "modulus":
+            raw[j][1] = draw(st.floats(1.01, 10.0))
+        elif fault == "sum":
+            raw[j][0] += draw(st.floats(1e-3, 0.5))
+        elif fault == "nan":
+            raw[j][draw(st.integers(0, 1))] = math.nan
+        elif fault == "short":
+            raw.pop()
+        named_raws.append((name, [tuple(pair) for pair in raw]))
+    tol = draw(st.sampled_from([1e-9, 1e-3]))
+    return space, named_raws, tol
+
+
+class TestOneValidationRoute:
+    @settings(max_examples=300, deadline=None)
+    @given(_named_raws_with_faults())
+    def test_report_agrees_with_make_source_set(self, case):
+        space, named_raws, tol = case
+        report = build_validate_report(space, named_raws, tol=tol)
+        assert [v["name"] for v in report["sources"]] == [n for n, _ in named_raws]
+        first_bad = next((v for v in report["sources"] if not v["valid"]), None)
+        try:
+            s = make_source_set(space, named_raws, tol=tol)
+        except CvdError as err:
+            assert report["valid"] is False
+            assert {"code": err.code, "message": err.message} == first_bad["error"]
+            duplicate = err.code == "DuplicateName"
+            assert err.source == (None if duplicate else first_bad["name"])
+        else:
+            assert report["valid"] is True and first_bad is None
+            assert s.names == tuple(n for n, _ in named_raws)
+
+    @pytest.mark.parametrize(
+        "named_raws, tol",
+        [
+            ([], 1e-9),
+            ([("s", [(1.0, 0.0)])], math.nan),
+            ([("s", [(1.0, 0.0)])], math.inf),
+            ([("s", [(1.0, 0.0)])], 0.0),
+        ],
+        ids=["empty", "nan", "inf", "zero"],
+    )
+    def test_set_level_errors_raise(self, named_raws, tol):
+        space = OutcomeSpace(("only",))
+        with pytest.raises(CvdError) as expected:
+            make_source_set(space, named_raws, tol=tol)
+        with pytest.raises(CvdError) as raised:
+            build_validate_report(space, named_raws, tol=tol)
+        assert type(raised.value) is type(expected.value)
+        assert raised.value.message == expected.value.message
