@@ -22,8 +22,10 @@ nothing is ever renormalized silently.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+import operator
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import (
     CvdError,
@@ -111,6 +113,19 @@ class SourceSet:
         return SourceSet(self.space, tuple(self.sources[i] for i in indices))
 
 
+def _ordered_sum(values: Iterable, start=0.0):
+    """start + v_0 + v_1 + ..., added strictly left to right.
+
+    This is the one summation rule: every sum in the package adds in input
+    order from ``start``, either through this helper or, in the hot loops
+    of make_cvd, measures.row_products and measures.subset_quality, in the
+    same order by hand.  Builtin sum() is not used: from Python 3.12 on it
+    compensates float rounding, so verdicts and printed sums near a
+    tolerance edge would depend on the interpreter version.
+    """
+    return reduce(operator.add, values, start)
+
+
 def _check_tol(tol: float) -> None:
     if not (math.isfinite(tol) and tol > 0.0):
         raise CvdError(f"tolerance must be finite and positive, got {tol!r}")
@@ -130,7 +145,8 @@ def make_cvd(
 
     Raises LengthMismatchError, NonFiniteError, NegativeRealPartError,
     ModulusExceedsOneError or SumNotUnityError accordingly, and CvdError if
-    tol is not a finite positive number.
+    tol is not a finite positive number.  The sums follow _ordered_sum's
+    rule, accumulated inside the entry loop.
     """
     _check_tol(tol)
     n = space.size
@@ -140,6 +156,7 @@ def make_cvd(
         )
 
     entries: list[complex] = []
+    re_sum = im_sum = 0.0
     for j, pair in enumerate(raw):
         re, im = pair
         re = float(re)
@@ -158,9 +175,9 @@ def make_cvd(
                 f"entry {j} ({space.labels[j]!r}) has modulus {modulus!r} > 1"
             )
         entries.append(complex(re, im))
+        re_sum += re
+        im_sum += im
 
-    re_sum = sum(c.real for c in entries)
-    im_sum = sum(c.imag for c in entries)
     if abs(re_sum - 1.0) > tol or abs(im_sum) > tol:
         raise SumNotUnityError(
             f"entry sum is {re_sum!r} + {im_sum!r}i, expected 1 + 0i (tol {tol!r})"

@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Sequence
 
 from .core import DEFAULT_TOL, OutcomeSpace, SourceSet, _validate_each, make_source_set
 from .errors import CvdError, MalformedSyntaxError, SchemaViolationError
@@ -41,15 +42,20 @@ from .measures import (
 
 REPORT_DIGITS = 12
 
-RawDocument = tuple[OutcomeSpace, list[tuple[str, list[tuple[float, float]]]]]
+NamedRaws = list[tuple[str, Sequence[Sequence[float]]]]
+RawDocument = tuple[OutcomeSpace, NamedRaws]
 
 
 def detect_format(text: str) -> str:
-    """Guess json vs csv from the first non-whitespace character."""
+    """Guess json vs csv from the first non-whitespace character.
+
+    An object or an array means JSON, so a top-level array fails the JSON
+    schema instead of the CSV header check.
+    """
     stripped = text.lstrip()
     if not stripped:
         raise MalformedSyntaxError("empty input")
-    return "json" if stripped.startswith("{") else "csv"
+    return "json" if stripped[0] in "{[" else "csv"
 
 
 def _parse_json_document(text: str) -> RawDocument:
@@ -84,7 +90,7 @@ def _parse_json_document(text: str) -> RawDocument:
     raw_sources = doc["sources"]
     if not isinstance(raw_sources, list) or not raw_sources:
         raise SchemaViolationError("'sources' must be a non-empty array")
-    named_raws: list[tuple[str, list[tuple[float, float]]]] = []
+    named_raws: NamedRaws = []
     for i, item in enumerate(raw_sources):
         where = f"sources[{i}]"
         if not isinstance(item, dict):
@@ -98,7 +104,6 @@ def _parse_json_document(text: str) -> RawDocument:
         values = item.get("values")
         if not isinstance(values, list):
             raise SchemaViolationError(f"{where}.values must be an array")
-        pairs: list[tuple[float, float]] = []
         for j, pair in enumerate(values):
             # Every JSON number decodes to float (parse_int=float), so the
             # type test alone rejects bools, strings and null.
@@ -111,8 +116,7 @@ def _parse_json_document(text: str) -> RawDocument:
                 raise SchemaViolationError(
                     f"{where}.values[{j}] must be a [re, im] pair of numbers"
                 )
-            pairs.append((pair[0], pair[1]))
-        named_raws.append((name, pairs))
+        named_raws.append((name, values))
     return space, named_raws
 
 
@@ -151,7 +155,7 @@ def _parse_csv_document(text: str) -> RawDocument:
     if len(rows) < 2:
         raise SchemaViolationError("CSV input has a header but no source rows")
 
-    named_raws: list[tuple[str, list[tuple[float, float]]]] = []
+    named_raws: NamedRaws = []
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != 1 + 2 * n:
             raise SchemaViolationError(
@@ -241,7 +245,7 @@ def round_sig(x: float, digits: int = REPORT_DIGITS) -> float:
 
 def build_validate_report(
     space: OutcomeSpace,
-    named_raws: list[tuple[str, list[tuple[float, float]]]],
+    named_raws: NamedRaws,
     tol: float = DEFAULT_TOL,
 ) -> dict:
     """Per-source validation verdicts; 'valid' is the overall conjunction.

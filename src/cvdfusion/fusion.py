@@ -19,9 +19,9 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
-from operator import itemgetter
+from operator import itemgetter, mul
 
-from .core import CvdVector, SourceSet
+from .core import CvdVector, SourceSet, _ordered_sum
 from .errors import (
     BadMinSizeError,
     InvalidWeightsError,
@@ -75,14 +75,10 @@ def _weighted_entry_sum(
 ) -> tuple[complex, ...]:
     # Ascending source order per entry; mean_aggregate and fuse share this
     # path so uniform-weight fusion is bit-identical to the mean.
-    n = vectors[0].n
-    out = []
-    for j in range(n):
-        acc = 0j
-        for w, v in zip(weights, vectors):
-            acc += w * v.entries[j]
-        out.append(acc)
-    return tuple(out)
+    return tuple(
+        _ordered_sum(map(mul, weights, column), 0j)
+        for column in zip(*(v.entries for v in vectors))
+    )
 
 
 def mean_aggregate(s: SourceSet) -> CvdVector:
@@ -101,9 +97,7 @@ def credibility_weights(s: SourceSet) -> CredibilityWeights:
     support(k) is the mean compatibility of source k with every other
     source; weights are supports normalized to sum to 1.  A single source
     gets weight 1; mutually orthogonal sources (all supports zero) fall
-    back to uniform weights.  Each support sums row k in ascending h, and
-    the total sums the supports in ascending k, both in explicit loops
-    (see weights_from_compatibility).
+    back to uniform weights.
     """
     return weights_from_compatibility(pairwise_matrix(s, "compatibility"))
 
@@ -111,23 +105,18 @@ def credibility_weights(s: SourceSet) -> CredibilityWeights:
 def weights_from_compatibility(matrix: PairwiseMatrix) -> CredibilityWeights:
     """credibility_weights read off an existing compatibility matrix.
 
-    Sums run left to right from 0.0 in explicit loops, so Python 3.12's
-    compensated float sum() cannot change the weights.
+    Each support sums row k in ascending h, and the total sums the supports
+    in ascending k.
     """
     r = matrix.size
     if r == 1:
         return CredibilityWeights((1.0,))
 
-    supports = []
-    total = 0.0
-    for k, row in enumerate(matrix.values):
-        acc = 0.0
-        for h in range(r):
-            if h != k:
-                acc += row[h]
-        support = acc / (r - 1)
-        supports.append(support)
-        total += support
+    supports = [
+        _ordered_sum(row[:k] + row[k + 1 :]) / (r - 1)
+        for k, row in enumerate(matrix.values)
+    ]
+    total = _ordered_sum(supports)
     if total > 0.0:
         return CredibilityWeights(tuple(sp / total for sp in supports))
     return CredibilityWeights((1.0 / r,) * r)
@@ -148,7 +137,7 @@ def fuse(s: SourceSet, w: CredibilityWeights) -> CvdVector:
         )
     if not all(math.isfinite(v) and v >= 0.0 for v in values):
         raise InvalidWeightsError("weights must be finite and nonnegative")
-    total = sum(values)
+    total = _ordered_sum(values)
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise InvalidWeightsError(f"weights sum to {total!r}, expected 1")
 

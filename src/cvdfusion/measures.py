@@ -34,7 +34,8 @@ adds, and gets the same bits because p*u + q*v is symmetric bit for bit.
 Every product is bit for bit inner_product(C_k, C_h).real (and, on the
 diagonal, information_quality(C_k)): CPython takes the real part of
 x * conj(y) as x.re*y.re - x.im*(-y.im), which is exactly x.re*y.re +
-x.im*y.im, and the complex sum also adds real parts left to right from 0.0.
+x.im*y.im, and inner_product's complex sum (core._ordered_sum from 0j) also
+adds real parts left to right from 0.0.
 ``matrix_from_gram`` turns G into any pairwise matrix (one square root per
 source); subset qualities sum G in the order the subset lists its sources
 (``subset_quality``).
@@ -46,7 +47,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .core import CvdVector, SourceSet
+from .core import CvdVector, SourceSet, _ordered_sum
 from .errors import SpaceMismatchError
 
 _NORM_FLOOR = 1e-15
@@ -63,10 +64,8 @@ def _require_same_space(a: CvdVector, b: CvdVector) -> None:
 def inner_product(a: CvdVector, b: CvdVector) -> complex:
     """Hermitian inner product sum_j a_j * conj(b_j), ascending j."""
     _require_same_space(a, b)
-    total = 0j
-    for x, y in zip(a.entries, b.entries):
-        total += x * y.conjugate()
-    return total
+    products = (x * y.conjugate() for x, y in zip(a.entries, b.entries))
+    return _ordered_sum(products, 0j)
 
 
 def information_quality(a: CvdVector) -> float:
@@ -138,7 +137,7 @@ def row_products(row: FloatRow, rows: Sequence[FloatRow]) -> list[float]:
     Each product is summed in ascending outcome order from 0.0 as p*u + q*v,
     which equals inner_product(...).real bit for bit; p*u + q*v is also
     symmetric bit for bit, so any row equals the matching Gram entries.
-    The loop is explicit: float sum() rounds differently from Python 3.12 on.
+    The loop is explicit, in core._ordered_sum's order: it is the hot kernel.
     """
     ar, ai = row
     out = []
@@ -170,8 +169,8 @@ def gram(s: SourceSet) -> list[list[float]]:
 def subset_quality(g: Sequence[Sequence[float]], indices: Sequence[int]) -> float:
     """(1/m^2) [sum_k G[k][k] + 2 sum_{k before h} G[k][h]] over m indices.
 
-    Sums run left to right in the order of ``indices``, in explicit loops:
-    float sum() rounds differently from Python 3.12 on.
+    Sums run left to right in the order of ``indices``, in explicit loops
+    that follow core._ordered_sum's rule: this is the hot selection kernel.
     """
     m = len(indices)
     quality_sum = 0.0
@@ -207,9 +206,6 @@ class PairwiseMatrix:
     kind: str
     size: int
     values: tuple[tuple[float, ...], ...]
-
-    def row(self, k: int) -> tuple[float, ...]:
-        return self.values[k]
 
 
 # Each kind as a function of the clamped cosine; its value at 1.0 is the diagonal.

@@ -281,6 +281,24 @@ class TestExitCodes:
         assert code == 1
         assert json.loads(err)["error"] == "SchemaViolation"
 
+    def test_top_level_array_fails_the_json_schema(self, capsys, tmp_path):
+        path = write(tmp_path, "array.json", "[1, 2]")
+        code, out, err = run_cli(capsys, "measure", "--input", path)
+        assert code == 1
+        assert out == ""
+        record = json.loads(err)
+        assert record["error"] == "SchemaViolation"
+        assert record["message"] == "top level must be an object"
+
+    def test_csv_field_over_the_limit_is_malformed(self, capsys, tmp_path):
+        cell = "1" * 131_073  # one past csv.field_size_limit()'s default
+        path = write(tmp_path, "wide.csv", f"name,a_re,a_im\ns,{cell},0\n")
+        code, out, err = run_cli(capsys, "measure", "--input", path)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "MalformedSyntax"
+
     def test_non_utf8_input(self, capsys, tmp_path):
         path = tmp_path / "bin.json"
         path.write_bytes(b"\xff\xfe\x00broken")

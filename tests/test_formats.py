@@ -1,5 +1,6 @@
 """Source-file parsing/emission, round-trips, and report assembly."""
 
+import csv
 import json
 import math
 
@@ -69,9 +70,20 @@ class TestParsing:
 
     def test_format_detection(self):
         assert detect_format(TWO_SOURCE_JSON) == "json"
+        assert detect_format(" [1, 2]") == "json"
         assert detect_format(TWO_SOURCE_CSV) == "csv"
         with pytest.raises(MalformedSyntaxError):
             detect_format("   \n ")
+
+    def test_top_level_array_is_json(self):
+        with pytest.raises(SchemaViolationError, match="top level must be an object"):
+            parse_source_file("[1, 2]")
+        with pytest.raises(MalformedSyntaxError):
+            parse_source_file("[1,")
+
+    def test_unknown_format(self):
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            parse_raw_document(TWO_SOURCE_JSON, fmt="xml")
 
     def test_explicit_format_wins(self):
         with pytest.raises(MalformedSyntaxError):
@@ -151,6 +163,11 @@ class TestJsonSchemaErrors:
         message = "sources[0].values[0] must be a [re, im] pair of numbers"
         assert str(exc.value) == message
 
+    def test_source_must_be_object(self):
+        with pytest.raises(SchemaViolationError) as exc:
+            parse_source_file('{"space": ["a"], "sources": [[1, 0]]}')
+        assert str(exc.value) == "sources[0] must be an object"
+
     def test_duplicate_labels_rejected(self):
         doc = '{"space": ["a", "a"], "sources": [{"name": "s", "values": []}]}'
         with pytest.raises(InvalidOutcomeSpaceError):
@@ -178,6 +195,20 @@ class TestCsvSchemaErrors:
     def test_header_only(self):
         with pytest.raises(SchemaViolationError):
             parse_source_file("name,up_re,up_im\n", fmt="csv")
+
+    def test_no_rows(self):
+        with pytest.raises(SchemaViolationError) as exc:
+            parse_source_file("", fmt="csv")
+        assert str(exc.value) == "CSV input has no rows"
+
+    def test_field_over_the_csv_limit_is_malformed(self):
+        limit = csv.field_size_limit()
+        text = "name,up_re,up_im\ns1," + "1" * (limit + 1) + ",0\n"
+        with pytest.raises(MalformedSyntaxError) as exc:
+            parse_source_file(text, fmt="csv")
+        assert str(exc.value) == (
+            f"invalid CSV: field larger than field limit ({limit})"
+        )
 
     def test_empty_lines_skipped(self):
         text = "name,up_re,up_im\n\ns1,1,0\n\n"
