@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
-from .core import DEFAULT_TOL
+from .core import DEFAULT_TOL, _check_tol
 from .errors import CvdError
 from .formats import (
     build_fuse_report,
@@ -36,18 +35,9 @@ class _UsageError(Exception):
     pass
 
 
-class _HelpShown(Exception):
-    pass
-
-
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-    def exit(self, status=0, message=None):
-        # Reached only after --help (error() raises first): main returns 0
-        # instead of letting SystemExit escape.
-        raise _HelpShown
 
 
 def _emit_error(code: str, message: str, source: str | None = None) -> None:
@@ -60,16 +50,17 @@ def _emit_error(code: str, message: str, source: str | None = None) -> None:
 def _tol_arg(text: str) -> float:
     try:
         value = float(text)
+        _check_tol(value)
+    except CvdError as err:
+        raise argparse.ArgumentTypeError(err.message) from None
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError("tolerance must be finite and positive")
     return value
 
 
-def _weights_arg(text: str) -> tuple[float, ...]:
+def _weights_arg(text: str) -> CredibilityWeights:
     try:
-        return tuple(float(x) for x in text.split(","))
+        return CredibilityWeights(tuple(float(x) for x in text.split(",")))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated floats, got {text!r}"
@@ -86,7 +77,8 @@ def _build_parser() -> _ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
         p.add_argument(
             "--input", required=True, help="source file path, or - for stdin"
         )
@@ -97,31 +89,18 @@ def _build_parser() -> _ArgumentParser:
             help=f"validation tolerance (default {DEFAULT_TOL})",
         )
         p.add_argument("--pretty", action="store_true", help="indent JSON output")
+        return p
 
-    p = sub.add_parser("validate", help="per-source validity verdicts")
-    common(p)
-    p.set_defaults(handler=_cmd_validate)
-
-    p = sub.add_parser(
-        "measure", help="per-source quality, pairwise matrices, aggregate quality"
-    )
-    common(p)
-    p.set_defaults(handler=_cmd_measure)
-
-    p = sub.add_parser(
-        "fuse", help="measure plus credibility weights and the fused distribution"
-    )
-    common(p)
+    command("validate", "per-source validity verdicts")
+    command("measure", "per-source quality, pairwise matrices, aggregate quality")
+    p = command("fuse", "measure plus credibility weights and the fused distribution")
     p.add_argument(
         "--weights",
         type=_weights_arg,
         default=None,
         help="comma-separated weights overriding the credibility computation",
     )
-    p.set_defaults(handler=_cmd_fuse)
-
-    p = sub.add_parser("select", help="pick the subset maximizing aggregate quality")
-    common(p)
+    p = command("select", "pick the subset maximizing aggregate quality")
     p.add_argument(
         "--strategy",
         choices=("exhaustive", "greedy"),
@@ -131,7 +110,6 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument(
         "--min-size", type=int, default=1, help="minimum subset size (default 1)"
     )
-    p.set_defaults(handler=_cmd_select)
 
     return parser
 
@@ -142,39 +120,16 @@ def _read_input(path: str) -> bytes:
     return Path(path).read_bytes()
 
 
-def _cmd_validate(args, data: bytes) -> int:
-    space, named_raws = parse_raw_document(data)
-    report = build_validate_report(space, named_raws, tol=args.tol)
-    print(render_report(report, args.pretty))
-    if not report["valid"]:
-        bad = [v["name"] for v in report["sources"] if not v["valid"]]
-        _emit_error(
-            "ValidationFailed",
-            f"{len(bad)} of {len(report['sources'])} sources invalid: "
-            + ", ".join(bad),
-        )
-        return EXIT_DOMAIN
-    return EXIT_OK
-
-
-def _cmd_measure(args, data: bytes) -> int:
+def _report(args, data: bytes) -> dict:
+    if args.command == "validate":
+        return build_validate_report(*parse_raw_document(data), tol=args.tol)
     s = parse_source_file(data, tol=args.tol)
-    print(render_report(build_measure_report(s), args.pretty))
-    return EXIT_OK
-
-
-def _cmd_fuse(args, data: bytes) -> int:
-    s = parse_source_file(data, tol=args.tol)
-    weights = None if args.weights is None else CredibilityWeights(args.weights)
-    print(render_report(build_fuse_report(s, weights), args.pretty))
-    return EXIT_OK
-
-
-def _cmd_select(args, data: bytes) -> int:
-    s = parse_source_file(data, tol=args.tol)
+    if args.command == "measure":
+        return build_measure_report(s)
+    if args.command == "fuse":
+        return build_fuse_report(s, args.weights)
     result = select_sources(s, strategy=args.strategy, min_size=args.min_size)
-    print(render_report(build_select_report(s, result), args.pretty))
-    return EXIT_OK
+    return build_select_report(s, result)
 
 
 # Built once per process: parse_args keeps no state between calls, and
@@ -188,7 +143,7 @@ def main(argv=None) -> int:
     except _UsageError as err:
         _emit_error("Usage", str(err))
         return EXIT_USAGE
-    except _HelpShown:
+    except SystemExit:  # raised by argparse once --help has printed
         return EXIT_OK
 
     try:
@@ -198,10 +153,20 @@ def main(argv=None) -> int:
         return EXIT_IO
 
     try:
-        return args.handler(args, data)
+        report = _report(args, data)
     except CvdError as err:
         _emit_error(err.code, err.message, source=err.source)
         return EXIT_DOMAIN
+    print(render_report(report, args.pretty))
+    if args.command == "validate" and not report["valid"]:
+        bad = [v["name"] for v in report["sources"] if not v["valid"]]
+        _emit_error(
+            "ValidationFailed",
+            f"{len(bad)} of {len(report['sources'])} sources invalid: "
+            + ", ".join(bad),
+        )
+        return EXIT_DOMAIN
+    return EXIT_OK
 
 
 if __name__ == "__main__":

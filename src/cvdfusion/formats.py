@@ -47,15 +47,23 @@ RawDocument = tuple[OutcomeSpace, NamedRaws]
 
 
 def detect_format(text: str) -> str:
-    """Guess json vs csv from the first non-whitespace character.
+    """Guess json vs csv from the content.
 
-    An object or an array means JSON, so a top-level array fails the JSON
-    schema instead of the CSV header check.
+    An object or an array means JSON, and so does any other document that
+    parses as JSON, so a top-level array or scalar fails the JSON schema
+    instead of the CSV header check.  Everything else is CSV; a CSV
+    document stops the JSON decoder within its first cell.
     """
     stripped = text.lstrip()
     if not stripped:
         raise MalformedSyntaxError("empty input")
-    return "json" if stripped[0] in "{[" else "csv"
+    if stripped[0] in "{[":
+        return "json"
+    try:
+        json.loads(stripped, parse_int=float)
+    except ValueError:
+        return "csv"
+    return "json"
 
 
 def _parse_json_document(text: str) -> RawDocument:
@@ -238,9 +246,9 @@ def emit_source_csv(s: SourceSet) -> str:
 # --- reports ---
 
 
-def round_sig(x: float, digits: int = REPORT_DIGITS) -> float:
-    """Round to the given number of significant digits."""
-    return float(f"{x:.{digits}g}")
+def round_sig(x: float) -> float:
+    """Round to REPORT_DIGITS significant digits."""
+    return float(f"{x:.{REPORT_DIGITS}g}")
 
 
 def build_validate_report(

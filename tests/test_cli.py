@@ -120,6 +120,13 @@ class TestMeasure:
         _, out_json, _ = run_cli(capsys, "measure", "--input", json_path)
         assert json.loads(out_csv) == json.loads(out_json)
 
+    def test_csv_with_a_quoted_header_cell(self, capsys, tmp_path):
+        plain = write(tmp_path, "pair.csv", TWO_SOURCE_CSV)
+        quoted = write(tmp_path, "quoted.csv", '"name"' + TWO_SOURCE_CSV[4:])
+        expected = run_cli(capsys, "measure", "--input", plain)
+        assert expected[0] == 0
+        assert run_cli(capsys, "measure", "--input", quoted) == expected
+
     @pytest.mark.parametrize(
         "name, text",
         [("pair.json", TWO_SOURCE_JSON), ("pair.csv", TWO_SOURCE_CSV)],
@@ -290,6 +297,16 @@ class TestExitCodes:
         assert record["error"] == "SchemaViolation"
         assert record["message"] == "top level must be an object"
 
+    @pytest.mark.parametrize("token", ['"abc"', "1", "-2.5", "null", "true"])
+    def test_top_level_scalar_fails_the_json_schema(self, capsys, tmp_path, token):
+        path = write(tmp_path, "scalar.json", token + "\n")
+        code, out, err = run_cli(capsys, "measure", "--input", path)
+        assert code == 1
+        assert out == ""
+        record = json.loads(err)
+        assert record["error"] == "SchemaViolation"
+        assert record["message"] == "top level must be an object"
+
     def test_csv_field_over_the_limit_is_malformed(self, capsys, tmp_path):
         cell = "1" * 131_073  # one past csv.field_size_limit()'s default
         path = write(tmp_path, "wide.csv", f"name,a_re,a_im\ns,{cell},0\n")
@@ -362,12 +379,13 @@ class TestExitCodes:
 class TestEntryPoints:
     def test_python_dash_m(self, tmp_path):
         path = write(tmp_path, "pair.json", TWO_SOURCE_JSON)
-        proc = run_child(
-            [sys.executable, "-m", "cvdfusion", "measure", "--input", path],
-            text=True,
-        )
-        assert proc.returncode == 0
-        assert json.loads(proc.stdout)["aggregate_iq"] == 0.51
+        for module in ("cvdfusion", "cvdfusion.cli"):
+            proc = run_child(
+                [sys.executable, "-m", module, "measure", "--input", path],
+                text=True,
+            )
+            assert proc.returncode == 0, module
+            assert json.loads(proc.stdout)["aggregate_iq"] == 0.51
 
     def test_console_script(self, tmp_path):
         # Without an installed executable, run the [project.scripts] target

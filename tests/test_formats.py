@@ -71,7 +71,10 @@ class TestParsing:
     def test_format_detection(self):
         assert detect_format(TWO_SOURCE_JSON) == "json"
         assert detect_format(" [1, 2]") == "json"
+        for token in ('"abc"', "1", "-2.5", "null", " true\n"):
+            assert detect_format(token) == "json"
         assert detect_format(TWO_SOURCE_CSV) == "csv"
+        assert detect_format('"name"' + TWO_SOURCE_CSV[4:]) == "csv"
         with pytest.raises(MalformedSyntaxError):
             detect_format("   \n ")
 
@@ -181,6 +184,7 @@ class TestCsvSchemaErrors:
             "name\ns1\n",
             "label,up_re,up_im\ns1,1,0\n",
             "name,up_re,down_im\ns1,1,0\n",
+            "name,up_x,up_im\ns1,1,0\n",
             "name,up_re,up_im,down_re\ns1,1,0,0\n",
             "name,up_re,up_im\ns1,1\n",
             "name,up_re,up_im\ns1,one,0\n",
@@ -254,7 +258,7 @@ class TestReports:
         assert round_sig(0.5949130765308921) == 0.594913076531
         assert round_sig(0.51) == 0.51
         assert round_sig(1.0) == 1.0
-        assert round_sig(1.2345678901234567e-07, digits=3) == 1.23e-07
+        assert round_sig(1.2345678901234567e-07) == 1.23456789012e-07
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_render_refuses_non_finite_numbers(self, value):
