@@ -2,7 +2,8 @@
 
 Reports go to stdout as JSON (single line unless --pretty); errors go to
 stderr as single-line JSON records.  Exit codes: 0 success, 1 validation
-or domain error, 2 I/O error, 3 usage error.
+or domain error, 2 I/O error (the input could not be read or the report
+could not be written), 3 usage error.
 """
 
 from __future__ import annotations
@@ -31,20 +32,17 @@ EXIT_IO = 2
 EXIT_USAGE = 3
 
 
-class _UsageError(Exception):
-    pass
-
-
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
-
-
 def _emit_error(code: str, message: str, source: str | None = None) -> None:
     record: dict = {"error": code, "message": message}
     if source is not None:
         record["source"] = source
     print(json.dumps(record), file=sys.stderr)
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        _emit_error("Usage", message)
+        raise SystemExit(EXIT_USAGE)
 
 
 def _tol_arg(text: str) -> float:
@@ -140,11 +138,8 @@ _PARSER = _build_parser()
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-    except _UsageError as err:
-        _emit_error("Usage", str(err))
-        return EXIT_USAGE
-    except SystemExit:  # raised by argparse once --help has printed
-        return EXIT_OK
+    except SystemExit as stop:  # EXIT_OK after --help, EXIT_USAGE from error()
+        return stop.code
 
     try:
         data = _read_input(args.input)
@@ -157,7 +152,11 @@ def main(argv=None) -> int:
     except CvdError as err:
         _emit_error(err.code, err.message, source=err.source)
         return EXIT_DOMAIN
-    print(render_report(report, args.pretty))
+    try:
+        print(render_report(report, args.pretty), flush=True)
+    except OSError as err:  # a closed pipe or a full disk
+        _emit_error("IOError", f"cannot write the report: {err}")
+        return EXIT_IO
     if args.command == "validate" and not report["valid"]:
         bad = [v["name"] for v in report["sources"] if not v["valid"]]
         _emit_error(

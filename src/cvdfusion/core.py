@@ -54,6 +54,8 @@ class OutcomeSpace:
     labels: tuple[str, ...]
 
     def __post_init__(self):
+        if isinstance(self.labels, str):  # tuple("up") would be ('u', 'p')
+            raise InvalidOutcomeSpaceError("labels must be a sequence, not a str")
         object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.labels) < 1:
             raise InvalidOutcomeSpaceError("outcome space needs at least one label")

@@ -155,9 +155,7 @@ def _parse_csv_document(text: str) -> RawDocument:
         rows = [row for row in csv.reader(io.StringIO(text)) if row]
     except csv.Error as err:
         raise MalformedSyntaxError(f"invalid CSV: {err}") from err
-    if not rows:
-        raise SchemaViolationError("CSV input has no rows")
-
+    # Never empty: detect_format refused blank text; any other text yields a row.
     space = _parse_csv_header(rows[0])
     n = space.size
     if len(rows) < 2:
@@ -186,13 +184,13 @@ def _parse_csv_document(text: str) -> RawDocument:
     return space, named_raws
 
 
-def parse_raw_document(text: str | bytes, fmt: str = "auto") -> RawDocument:
+def parse_raw_document(text: str | bytes) -> RawDocument:
     """Parse to (space, named raw pairs) without CvD validation.
 
     Bytes are decoded as UTF-8 first; one leading byte-order mark (U+FEFF)
-    is dropped.  Raises MalformedSyntaxError for undecodable or unparseable
-    input and SchemaViolationError when the structure does not match the
-    schema.
+    is dropped.  The format comes from the content (detect_format).  Raises
+    MalformedSyntaxError for undecodable or unparseable input and
+    SchemaViolationError when the structure does not match the schema.
     """
     if isinstance(text, bytes):
         try:
@@ -200,24 +198,18 @@ def parse_raw_document(text: str | bytes, fmt: str = "auto") -> RawDocument:
         except UnicodeDecodeError as err:
             raise MalformedSyntaxError(f"input is not valid UTF-8: {err}") from err
     text = text.removeprefix("\ufeff")
-    if fmt == "auto":
-        fmt = detect_format(text)
-    if fmt == "json":
+    if detect_format(text) == "json":
         return _parse_json_document(text)
-    if fmt == "csv":
-        return _parse_csv_document(text)
-    raise ValueError(f"unknown format {fmt!r}, expected auto|json|csv")
+    return _parse_csv_document(text)
 
 
-def parse_source_file(
-    data: str | bytes, fmt: str = "auto", tol: float = DEFAULT_TOL
-) -> SourceSet:
+def parse_source_file(data: str | bytes, *, tol: float = DEFAULT_TOL) -> SourceSet:
     """Parse and fully validate a source file into a SourceSet."""
-    space, named_raws = parse_raw_document(data, fmt=fmt)
+    space, named_raws = parse_raw_document(data)
     return make_source_set(space, named_raws, tol=tol)
 
 
-def emit_source_json(s: SourceSet, pretty: bool = False) -> str:
+def emit_source_json(s: SourceSet) -> str:
     doc = {
         "space": list(s.space.labels),
         "sources": [
@@ -225,7 +217,7 @@ def emit_source_json(s: SourceSet, pretty: bool = False) -> str:
             for name, dist in s.sources
         ],
     }
-    return json.dumps(doc, indent=2 if pretty else None)
+    return json.dumps(doc)
 
 
 def emit_source_csv(s: SourceSet) -> str:

@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, report contracts, exit codes, stderr records."""
 
+import errno
 import io
 import json
 import os
@@ -63,12 +64,16 @@ def run_cli(capsys, *argv):
 
 
 def run_child(argv, **kwargs):
-    """subprocess.run in a fresh process that imports cvdfusion from src/."""
+    """subprocess.run in a fresh process that imports cvdfusion from src/.
+
+    stderr is captured, and so is stdout unless the caller passes its own.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
-    return subprocess.run(argv, env=env, capture_output=True, **kwargs)
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run(argv, env=env, stderr=subprocess.PIPE, **kwargs)
 
 
 def write(tmp_path, name, text):
@@ -407,6 +412,39 @@ class TestEntryPoints:
         proc = run_child(argv + ["measure", "--input", path], text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["aggregate_iq"] == 0.51
+
+
+class TestUnwritableReport:
+    """A report that cannot be written is one IOError record and exit 2."""
+
+    def _measure_into(self, tmp_path, stdout):
+        path = write(tmp_path, "pair.json", TWO_SOURCE_JSON)
+        argv = [sys.executable, "-m", "cvdfusion", "measure", "--input", path]
+        return run_child(argv, stdout=stdout, text=True)
+
+    def _assert_one_io_error(self, proc, errno_code):
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1  # no traceback, no "Exception ignored"
+        record = json.loads(proc.stderr)
+        assert record["error"] == "IOError"
+        assert record["message"].startswith("cannot write the report: ")
+        assert os.strerror(errno_code) in record["message"]
+
+    def test_closed_pipe(self, tmp_path):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # no reader: the first write fails with EPIPE
+        try:
+            proc = self._measure_into(tmp_path, write_end)
+        finally:
+            os.close(write_end)
+        self._assert_one_io_error(proc, errno.EPIPE)
+
+    def test_full_device(self, tmp_path):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("this system has no /dev/full")
+        with open("/dev/full", "wb") as full:
+            proc = self._measure_into(tmp_path, full)
+        self._assert_one_io_error(proc, errno.ENOSPC)
 
 
 class TestOneParserPerProcess:

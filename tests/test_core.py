@@ -52,6 +52,11 @@ class TestOutcomeSpace:
     def test_accepts_list_input(self):
         assert OutcomeSpace(["a", "b"]).labels == ("a", "b")
 
+    def test_str_labels_rejected(self):
+        # tuple("up") is ('u', 'p'): a str must not pass as two labels
+        with pytest.raises(InvalidOutcomeSpaceError, match="not a str"):
+            OutcomeSpace("up")
+
 
 class TestMakeCvd:
     def test_uniform_real(self):
