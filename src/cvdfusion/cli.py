@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 from .core import DEFAULT_TOL, _check_tol
@@ -156,6 +158,12 @@ def main(argv=None) -> int:
         print(render_report(report, args.pretty), flush=True)
     except OSError as err:  # a closed pipe or a full disk
         _emit_error("IOError", f"cannot write the report: {err}")
+        # The unwritten bytes stay in sys.stdout's buffer, and the flush at
+        # interpreter exit would fail on them again ("Exception ignored",
+        # exit 120): point fd 1 at the null device, as the signal module's
+        # SIGPIPE note advises.  UnsupportedOperation: no fd behind stdout.
+        with suppress(OSError), open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
         return EXIT_IO
     if args.command == "validate" and not report["valid"]:
         bad = [v["name"] for v in report["sources"] if not v["valid"]]

@@ -8,7 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -415,36 +415,56 @@ class TestEntryPoints:
 
 
 class TestUnwritableReport:
-    """A report that cannot be written is one IOError record and exit 2."""
+    """A report that cannot be written is one IOError record and exit 2.
 
-    def _measure_into(self, tmp_path, stdout):
+    Each case runs the child twice: with a buffered stdout (the default),
+    where the unwritten bytes stay buffered until the flush at exit, and
+    with PYTHONUNBUFFERED set.
+    """
+
+    def _measure_into(self, tmp_path, monkeypatch, open_stdout):
         path = write(tmp_path, "pair.json", TWO_SOURCE_JSON)
         argv = [sys.executable, "-m", "cvdfusion", "measure", "--input", path]
-        return run_child(argv, stdout=stdout, text=True)
+        procs = []
+        for unbuffered in (None, "1"):
+            if unbuffered is None:
+                monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+            else:
+                monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+            with open_stdout() as stdout:
+                procs.append(run_child(argv, stdout=stdout, text=True))
+        return procs
 
-    def _assert_one_io_error(self, proc, errno_code):
-        assert proc.returncode == 2
-        assert proc.stderr.count("\n") == 1  # no traceback, no "Exception ignored"
-        record = json.loads(proc.stderr)
-        assert record["error"] == "IOError"
-        assert record["message"].startswith("cannot write the report: ")
-        assert os.strerror(errno_code) in record["message"]
+    def _assert_one_io_error(self, procs, errno_code):
+        for proc in procs:
+            assert proc.returncode == 2, proc.stderr
+            # no traceback, no "Exception ignored" from the flush at exit
+            assert proc.stderr.count("\n") == 1, proc.stderr
+            record = json.loads(proc.stderr)
+            assert record["error"] == "IOError"
+            assert record["message"].startswith("cannot write the report: ")
+            assert os.strerror(errno_code) in record["message"]
 
-    def test_closed_pipe(self, tmp_path):
-        read_end, write_end = os.pipe()
-        os.close(read_end)  # no reader: the first write fails with EPIPE
-        try:
-            proc = self._measure_into(tmp_path, write_end)
-        finally:
-            os.close(write_end)
-        self._assert_one_io_error(proc, errno.EPIPE)
+    def test_closed_pipe(self, tmp_path, monkeypatch):
+        @contextmanager
+        def closed_pipe():
+            read_end, write_end = os.pipe()
+            os.close(read_end)  # no reader: the first write fails with EPIPE
+            try:
+                yield write_end
+            finally:
+                os.close(write_end)
 
-    def test_full_device(self, tmp_path):
+        procs = self._measure_into(tmp_path, monkeypatch, closed_pipe)
+        self._assert_one_io_error(procs, errno.EPIPE)
+
+    def test_full_device(self, tmp_path, monkeypatch):
         if not os.path.exists("/dev/full"):
             pytest.skip("this system has no /dev/full")
-        with open("/dev/full", "wb") as full:
-            proc = self._measure_into(tmp_path, full)
-        self._assert_one_io_error(proc, errno.ENOSPC)
+        procs = self._measure_into(
+            tmp_path, monkeypatch, lambda: open("/dev/full", "wb")
+        )
+        self._assert_one_io_error(procs, errno.ENOSPC)
 
 
 class TestOneParserPerProcess:
