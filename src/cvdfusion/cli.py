@@ -34,17 +34,57 @@ EXIT_IO = 2
 EXIT_USAGE = 3
 
 
-def _emit_error(code: str, message: str, source: str | None = None) -> None:
+def _drop_unwritten(stream) -> None:
+    """Point the stream's fd at the null device after a failed write.
+
+    The unwritten bytes stay in the stream's buffer, and the flush at
+    interpreter exit would fail on them again ("Exception ignored", exit
+    120); the signal module's SIGPIPE note advises this.  A stream with no
+    fd (UnsupportedOperation) is left alone.
+    """
+    with suppress(OSError), open(os.devnull, "wb") as null:
+        os.dup2(null.fileno(), stream.fileno())
+
+
+def _emit_error(
+    exit_code: int, code: str, message: str, source: str | None = None
+) -> int:
+    """Write one JSON error record to stderr; return exit_code.
+
+    A record that cannot be written returns EXIT_IO instead.
+    """
     record: dict = {"error": code, "message": message}
     if source is not None:
         record["source"] = source
-    print(json.dumps(record), file=sys.stderr)
+    try:
+        print(json.dumps(record), file=sys.stderr, flush=True)
+    except OSError:
+        _drop_unwritten(sys.stderr)
+        return EXIT_IO
+    return exit_code
+
+
+def _write_stdout(text: str, what: str, end: str = "") -> int:
+    """Print text to stdout; one IOError record if that fails (a closed
+    pipe, a full disk)."""
+    try:
+        # end goes as a second write: a copy of a large report in text + end
+        # raised the benchmark's peak RSS by 5 MB
+        print(text, end=end, flush=True)
+    except OSError as err:
+        _drop_unwritten(sys.stdout)
+        return _emit_error(EXIT_IO, "IOError", f"cannot write the {what}: {err}")
+    return EXIT_OK
 
 
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
-        _emit_error("Usage", message)
-        raise SystemExit(EXIT_USAGE)
+        raise SystemExit(_emit_error(EXIT_USAGE, "Usage", message))
+
+    def print_help(self, file=None):
+        # --help: argparse would drop a failed write silently, so the text
+        # takes the report's guarded route and the exit code follows it.
+        self.exit(_write_stdout(self.format_help(), "help text"))
 
 
 def _tol_arg(text: str) -> float:
@@ -140,40 +180,28 @@ _PARSER = _build_parser()
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-    except SystemExit as stop:  # EXIT_OK after --help, EXIT_USAGE from error()
+    except SystemExit as stop:  # from print_help() after --help, or error()
         return stop.code
 
     try:
         data = _read_input(args.input)
     except (OSError, ValueError) as err:  # ValueError: a NUL in the path
-        _emit_error("IOError", str(err))
-        return EXIT_IO
+        return _emit_error(EXIT_IO, "IOError", str(err))
 
     try:
         report = _report(args, data)
     except CvdError as err:
-        _emit_error(err.code, err.message, source=err.source)
-        return EXIT_DOMAIN
-    try:
-        print(render_report(report, args.pretty), flush=True)
-    except OSError as err:  # a closed pipe or a full disk
-        _emit_error("IOError", f"cannot write the report: {err}")
-        # The unwritten bytes stay in sys.stdout's buffer, and the flush at
-        # interpreter exit would fail on them again ("Exception ignored",
-        # exit 120): point fd 1 at the null device, as the signal module's
-        # SIGPIPE note advises.  UnsupportedOperation: no fd behind stdout.
-        with suppress(OSError), open(os.devnull, "wb") as null:
-            os.dup2(null.fileno(), sys.stdout.fileno())
-        return EXIT_IO
-    if args.command == "validate" and not report["valid"]:
+        return _emit_error(EXIT_DOMAIN, err.code, err.message, source=err.source)
+    code = _write_stdout(render_report(report, args.pretty), "report", "\n")
+    if code == EXIT_OK and args.command == "validate" and not report["valid"]:
         bad = [v["name"] for v in report["sources"] if not v["valid"]]
-        _emit_error(
+        return _emit_error(
+            EXIT_DOMAIN,
             "ValidationFailed",
             f"{len(bad)} of {len(report['sources'])} sources invalid: "
             + ", ".join(bad),
         )
-        return EXIT_DOMAIN
-    return EXIT_OK
+    return code
 
 
 if __name__ == "__main__":

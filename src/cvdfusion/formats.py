@@ -14,7 +14,8 @@ Complex entries are always two-element [re, im] arrays, never strings.
 Both parsers produce identical SourceSets from equivalent data.  Emitters
 serialize floats at full precision (shortest round-tripping repr, up to 17
 significant digits), so parse(emit(s)) reproduces s bit-for-bit.  Reports
-round every number to 12 significant digits.
+hold exact values; render_report rounds every number to 12 significant
+digits as it writes the report.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from collections.abc import Sequence
+from json.encoder import encode_basestring_ascii
 
 from .core import DEFAULT_TOL, OutcomeSpace, SourceSet, _validate_each, make_source_set
 from .errors import CvdError, MalformedSyntaxError, SchemaViolationError
@@ -41,6 +44,7 @@ from .measures import (
 )
 
 REPORT_DIGITS = 12
+_REPORT_FORMAT = f".{REPORT_DIGITS}g"
 
 NamedRaws = list[tuple[str, Sequence[Sequence[float]]]]
 RawDocument = tuple[OutcomeSpace, NamedRaws]
@@ -236,11 +240,83 @@ def emit_source_csv(s: SourceSet) -> str:
 
 
 # --- reports ---
+#
+# The build_*_report functions return exact values: unrounded floats, and the
+# compatibility and conflict matrices as PairwiseMatrix.  render_report is the
+# one writer; it rounds each number as it formats it.
 
 
 def round_sig(x: float) -> float:
     """Round to REPORT_DIGITS significant digits."""
     return float(f"{x:.{REPORT_DIGITS}g}")
+
+
+def _num(x: float) -> str:
+    """The JSON text of round_sig(x), formatted once where that is exact.
+
+    A decimal of at most REPORT_DIGITS (below DBL_DIG = 15) significant
+    digits maps to a unique double, and no shorter decimal maps to it, so
+    a .12g text that has repr's fixed-point layout (a '.' and no exponent)
+    is repr(round_sig(x)) already.  Integer-valued and exponent forms take
+    the round_sig route.  NaN and infinity raise ValueError, as json.dumps
+    does with allow_nan=False.
+    """
+    text = format(x, _REPORT_FORMAT)
+    if "." in text and "e" not in text:
+        return text
+    if not math.isfinite(x):
+        raise ValueError(f"report numbers must be finite, got {x!r}")
+    return repr(round_sig(x))
+
+
+def _matrix_texts(m: PairwiseMatrix) -> list[list[str]]:
+    """The rows of m as number texts, each unordered pair formatted once.
+
+    The whole diagonal is one value (see PairwiseMatrix), formatted once.
+    """
+    diagonal = _num(m.values[0][0])
+    upper = [
+        [""] * k + [diagonal] + [_num(x) for x in row[k + 1 :]]
+        for k, row in enumerate(m.values)
+    ]
+    lower = list(zip(*upper))  # lower[k][h] == upper[h][k], the mirror
+    return [[*lower[k][:k], *upper[k][k:]] for k in range(m.size)]
+
+
+def _join(items: list[str], brackets: str, pretty: bool, level: int) -> str:
+    """Items in brackets, laid out as json.dumps does (indent=2 when pretty)."""
+    if not items:
+        return brackets
+    if not pretty:
+        return brackets[0] + ", ".join(items) + brackets[1]
+    inner = "\n" + "  " * (level + 1)
+    outer = "\n" + "  " * level
+    return brackets[0] + inner + ("," + inner).join(items) + outer + brackets[1]
+
+
+def _render(value, pretty: bool, level: int) -> str:
+    """value as JSON text at nesting depth level (see render_report)."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float):
+        return _num(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, dict):
+        items = [
+            f"{encode_basestring_ascii(key)}: {_render(item, pretty, level + 1)}"
+            for key, item in value.items()
+        ]
+        return _join(items, "{}", pretty, level)
+    if isinstance(value, PairwiseMatrix):
+        rows = [_join(row, "[]", pretty, level + 1) for row in _matrix_texts(value)]
+        return _join(rows, "[]", pretty, level)
+    if isinstance(value, list):
+        items = [_render(item, pretty, level + 1) for item in value]
+        return _join(items, "[]", pretty, level)
+    raise TypeError(f"cannot write a {type(value).__name__} in a report")
 
 
 def build_validate_report(
@@ -269,63 +345,61 @@ def build_validate_report(
     }
 
 
-def _measure(s: SourceSet) -> tuple[dict, PairwiseMatrix]:
-    """The measure report and the unrounded compatibility matrix behind it,
-    all read off one Gram matrix."""
-    g = gram(s)
-    r = len(g)
-    compat = matrix_from_gram(g, "compatibility")
-    # conflict = 1 - compatibility, exactly as conflict() computes it; each
-    # unordered pair is rounded once and mirrored.
-    compat_rounded = [[1.0] * r for _ in range(r)]
-    conflict_rounded = [[0.0] * r for _ in range(r)]
-    for k, row in enumerate(compat.values):
-        for h in range(k + 1, r):
-            c = row[h]
-            compat_rounded[k][h] = compat_rounded[h][k] = round_sig(c)
-            conflict_rounded[k][h] = conflict_rounded[h][k] = round_sig(1.0 - c)
-    report = {
-        "sources": list(s.names),
-        "per_source_iq": {name: round_sig(g[k][k]) for k, name in enumerate(s.names)},
-        "compatibility": compat_rounded,
-        "conflict": conflict_rounded,
-        "aggregate_iq": round_sig(subset_quality(g, range(r))),
-    }
-    return report, compat
-
-
 def build_measure_report(s: SourceSet) -> dict:
-    return _measure(s)[0]
+    """Per-source and aggregate quality and the pairwise matrices, exact.
+
+    Everything is read off one Gram matrix; conflict is 1.0 - compatibility
+    entry by entry, exactly as conflict() computes it.
+    """
+    g = gram(s)
+    compat = matrix_from_gram(g, "compatibility")
+    conflict = PairwiseMatrix(
+        "conflict",
+        compat.size,
+        tuple(tuple([1.0 - c for c in row]) for row in compat.values),
+    )
+    return {
+        "sources": list(s.names),
+        "per_source_iq": {name: g[k][k] for k, name in enumerate(s.names)},
+        "compatibility": compat,
+        "conflict": conflict,
+        "aggregate_iq": subset_quality(g, range(len(g))),
+    }
 
 
 def build_fuse_report(s: SourceSet, weights: CredibilityWeights | None = None) -> dict:
     """The measure report plus credibility, the fused vector and its quality.
 
     ``weights=None`` means credibility_weights(s), read off the report's own
-    compatibility matrix.
+    compatibility matrix.  Values are exact, like build_measure_report's.
     """
-    report, compat = _measure(s)
+    report = build_measure_report(s)
     if weights is None:
-        weights = weights_from_compatibility(compat)
+        weights = weights_from_compatibility(report["compatibility"])
     fused = fuse(s, weights)
-    report["credibility"] = {
-        name: round_sig(w) for name, w in zip(s.names, weights.values)
-    }
-    report["fused"] = [[round_sig(c.real), round_sig(c.imag)] for c in fused.entries]
-    report["fused_iq"] = round_sig(information_quality(fused))
+    report["credibility"] = dict(zip(s.names, weights.values))
+    report["fused"] = [[c.real, c.imag] for c in fused.entries]
+    report["fused_iq"] = information_quality(fused)
     return report
 
 
 def build_select_report(s: SourceSet, result: SelectionResult) -> dict:
+    """The chosen names, the exact achieved quality and the strategy."""
     return {
         "selection": {
             "chosen": [s.names[i] for i in result.chosen],
-            "quality": round_sig(result.achieved_quality),
+            "quality": result.achieved_quality,
             "strategy": result.strategy,
         }
     }
 
 
 def render_report(report: dict, pretty: bool = False) -> str:
-    # allow_nan=False: a NaN or infinity raises instead of printing invalid JSON.
-    return json.dumps(report, indent=2 if pretty else None, allow_nan=False)
+    """Write a report as JSON, each number rounded to REPORT_DIGITS digits.
+
+    The text is json.dumps(report, indent=2 if pretty else None,
+    allow_nan=False) with every float passed through round_sig and every
+    PairwiseMatrix as nested lists, but each number is formatted once.  A
+    NaN or infinity raises ValueError instead of printing invalid JSON.
+    """
+    return _render(report, pretty, 0)

@@ -66,14 +66,15 @@ def run_cli(capsys, *argv):
 def run_child(argv, **kwargs):
     """subprocess.run in a fresh process that imports cvdfusion from src/.
 
-    stderr is captured, and so is stdout unless the caller passes its own.
+    stdout and stderr are captured unless the caller passes its own.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     kwargs.setdefault("stdout", subprocess.PIPE)
-    return subprocess.run(argv, env=env, stderr=subprocess.PIPE, **kwargs)
+    kwargs.setdefault("stderr", subprocess.PIPE)
+    return subprocess.run(argv, env=env, **kwargs)
 
 
 def write(tmp_path, name, text):
@@ -414,57 +415,94 @@ class TestEntryPoints:
         assert json.loads(proc.stdout)["aggregate_iq"] == 0.51
 
 
+@contextmanager
+def _closed_pipe():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader: the first write fails with EPIPE
+    try:
+        yield write_end
+    finally:
+        os.close(write_end)
+
+
+def _full_device():
+    if not os.path.exists("/dev/full"):
+        pytest.skip("this system has no /dev/full")
+    return open("/dev/full", "wb")
+
+
 class TestUnwritableReport:
-    """A report that cannot be written is one IOError record and exit 2.
+    """A report or help text that cannot be written is one IOError record
+    and exit 2; so is an error record that cannot be written, silently.
 
     Each case runs the child twice: with a buffered stdout (the default),
     where the unwritten bytes stay buffered until the flush at exit, and
     with PYTHONUNBUFFERED set.
     """
 
-    def _measure_into(self, tmp_path, monkeypatch, open_stdout):
-        path = write(tmp_path, "pair.json", TWO_SOURCE_JSON)
-        argv = [sys.executable, "-m", "cvdfusion", "measure", "--input", path]
+    def _run_into(
+        self, tmp_path, monkeypatch, open_stream, argv=None, stream="stdout"
+    ):
+        if argv is None:
+            argv = ["measure", "--input", write(tmp_path, "pair.json", TWO_SOURCE_JSON)]
         procs = []
         for unbuffered in (None, "1"):
             if unbuffered is None:
                 monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
             else:
                 monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
-            with open_stdout() as stdout:
-                procs.append(run_child(argv, stdout=stdout, text=True))
+            with open_stream() as target:
+                procs.append(
+                    run_child(
+                        [sys.executable, "-m", "cvdfusion", *argv],
+                        text=True,
+                        **{stream: target},
+                    )
+                )
         return procs
 
-    def _assert_one_io_error(self, procs, errno_code):
+    def _assert_one_io_error(self, procs, errno_code, what="report"):
         for proc in procs:
             assert proc.returncode == 2, proc.stderr
             # no traceback, no "Exception ignored" from the flush at exit
             assert proc.stderr.count("\n") == 1, proc.stderr
             record = json.loads(proc.stderr)
             assert record["error"] == "IOError"
-            assert record["message"].startswith("cannot write the report: ")
+            assert record["message"].startswith(f"cannot write the {what}: ")
             assert os.strerror(errno_code) in record["message"]
 
     def test_closed_pipe(self, tmp_path, monkeypatch):
-        @contextmanager
-        def closed_pipe():
-            read_end, write_end = os.pipe()
-            os.close(read_end)  # no reader: the first write fails with EPIPE
-            try:
-                yield write_end
-            finally:
-                os.close(write_end)
-
-        procs = self._measure_into(tmp_path, monkeypatch, closed_pipe)
+        procs = self._run_into(tmp_path, monkeypatch, _closed_pipe)
         self._assert_one_io_error(procs, errno.EPIPE)
 
     def test_full_device(self, tmp_path, monkeypatch):
-        if not os.path.exists("/dev/full"):
-            pytest.skip("this system has no /dev/full")
-        procs = self._measure_into(
-            tmp_path, monkeypatch, lambda: open("/dev/full", "wb")
-        )
+        procs = self._run_into(tmp_path, monkeypatch, _full_device)
         self._assert_one_io_error(procs, errno.ENOSPC)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["fuse", "--help"]])
+    def test_help_text_to_full_device(self, tmp_path, monkeypatch, argv):
+        procs = self._run_into(tmp_path, monkeypatch, _full_device, argv)
+        self._assert_one_io_error(procs, errno.ENOSPC, what="help text")
+
+    @pytest.mark.parametrize(
+        "open_stderr", [_closed_pipe, _full_device], ids=["closed-pipe", "full-device"]
+    )
+    def test_unwritable_error_record(self, tmp_path, monkeypatch, open_stderr):
+        missing = str(tmp_path / "absent.json")
+        argv = ["measure", "--input", missing]
+        procs = self._run_into(tmp_path, monkeypatch, open_stderr, argv, "stderr")
+        for proc in procs:
+            # exit 2, not 1 from an escaping OSError or 120 from the flush at exit
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+
+    def test_unwritable_error_record_in_process(self, tmp_path):
+        class Unwritable(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        with redirect_stderr(Unwritable()):
+            assert main(["measure", "--input", str(tmp_path / "absent.json")]) == 2
 
 
 class TestOneParserPerProcess:

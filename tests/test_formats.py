@@ -3,10 +3,12 @@
 import csv
 import json
 import math
+import struct
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvdfusion import (
@@ -23,6 +25,7 @@ from cvdfusion import (
     parse_source_file,
 )
 from cvdfusion.formats import (
+    _num,
     build_fuse_report,
     build_measure_report,
     build_select_report,
@@ -33,8 +36,9 @@ from cvdfusion.formats import (
     round_sig,
 )
 from cvdfusion.fusion import credibility_weights, select_sources
+from cvdfusion.measures import PairwiseMatrix
 
-from oracles import random_named_raws
+from oracles import random_disjoint_raw_pair, random_named_raws, random_raw
 
 TWO_SOURCE_JSON = """
 {"space": ["up", "down"],
@@ -251,14 +255,16 @@ class TestReports:
         assert round_sig(1.0) == 1.0
         assert round_sig(1.2345678901234567e-07) == 1.23456789012e-07
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_render_refuses_non_finite_numbers(self, value):
+        with pytest.raises(ValueError):
+            _num(value)
         with pytest.raises(ValueError):
             render_report({"aggregate_iq": value})
 
     def test_measure_report_shape(self):
         s = parse_source_file(TWO_SOURCE_JSON)
-        report = build_measure_report(s)
+        report = json.loads(render_report(build_measure_report(s)))
         assert report["sources"] == ["s1", "s2"]
         assert report["per_source_iq"] == {"s1": 0.68, "s2": 0.6}
         assert report["aggregate_iq"] == 0.51
@@ -272,6 +278,7 @@ class TestReports:
     def test_fuse_report_fused_revalidates(self):
         s = parse_source_file(TWO_SOURCE_JSON)
         report = build_fuse_report(s, credibility_weights(s))
+        report = json.loads(render_report(report))
         assert report["credibility"] == {"s1": 0.5, "s2": 0.5}
         assert report["fused"] == [[0.55, 0.05], [0.45, -0.05]]
         assert report["fused_iq"] == 0.51
@@ -284,14 +291,15 @@ class TestReports:
             r = int(rng.integers(1, 6))
             space = OutcomeSpace(tuple(f"o{j}" for j in range(n)))
             s = make_source_set(space, random_named_raws(rng, r, n))
-            report = build_fuse_report(s, credibility_weights(s))
-            make_cvd(s.space, report["fused"])
-            assert build_fuse_report(s) == report  # weights=None: same credibility
+            text = render_report(build_fuse_report(s, credibility_weights(s)))
+            make_cvd(s.space, json.loads(text)["fused"])  # the rounded vector
+            # weights=None: same credibility
+            assert render_report(build_fuse_report(s)) == text
 
     def test_select_report(self):
         s = parse_source_file(TWO_SOURCE_JSON)
         result = select_sources(s, "exhaustive")
-        report = build_select_report(s, result)
+        report = json.loads(render_report(build_select_report(s, result)))
         assert report == {
             "selection": {"chosen": ["s1"], "quality": 0.68, "strategy": "exhaustive"}
         }
@@ -324,6 +332,111 @@ class TestReports:
         report = build_validate_report(space, named_raws)
         assert report["valid"] is True
         assert all(v["error"] is None for v in report["sources"])
+
+
+# --- the report writer against the reference route: round_sig, then json.dumps ---
+
+
+def _rounded(value):
+    """The report with round_sig on every float and matrices as lists."""
+    if isinstance(value, float):
+        return round_sig(value)
+    if isinstance(value, PairwiseMatrix):
+        return [[round_sig(x) for x in row] for row in value.values]
+    if isinstance(value, dict):
+        return {key: _rounded(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_rounded(item) for item in value]
+    return value
+
+
+def _edge_named_raws(rng, kind, r, n):
+    """r named raws over n outcomes (r, n >= 2), the first two of one kind."""
+    if kind == "duplicated":  # compatibility 1.0, or an ulp below it
+        raw = random_raw(rng, n)
+        pair = [raw, raw]
+    elif kind == "near-identical":  # conflict about 1e-13
+        raw = random_raw(rng, n, real_only=True)
+        pair = [raw, [((1 - 1e-6) * x + 1e-6 / n, 0.0) for x, _ in raw]]
+    elif kind == "disjoint":  # compatibility exactly 0
+        pair = list(random_disjoint_raw_pair(rng, n))
+    elif kind == "near-disjoint":  # compatibility about 1e-13
+        zeros = [(0.0, 0.0)] * (n - 2)
+        pair = [
+            [(1.0, 0.0), (0.0, 0.0)] + zeros,
+            [(1e-13, 0.0), (1 - 1e-13, 0.0)] + zeros,
+        ]
+    else:
+        pair = [random_raw(rng, n, real_only=kind == "real-only") for _ in range(2)]
+    return [("a", pair[0]), ("b", pair[1])] + random_named_raws(rng, r - 2, n)
+
+
+# Doubles from uniform bit patterns: every exponent is equally likely.
+_BITS = st.integers(0, 2**64 - 1).map(
+    lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]
+)
+
+
+class TestReportWriter:
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            _BITS.filter(math.isfinite),
+            st.floats(1e12, 1e16, exclude_max=True),
+            st.floats(-1e16, -1e12, exclude_min=True),
+            st.floats(-2.3e-308, 2.3e-308),  # subnormals and the smallest normals
+        )
+    )
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(1e-4)
+    @example(9.99999999999995e-05)
+    @example(999999999999.5)
+    @example(1e12)
+    @example(sys.float_info.max)
+    def test_num_is_repr_of_round_sig(self, x):
+        assert _num(x) == repr(round_sig(x))
+
+    @pytest.mark.parametrize("pretty", [False, True])
+    def test_render_matches_round_sig_then_json_dumps(self, pretty):
+        rng = np.random.default_rng(47)
+        kinds = (
+            "random",
+            "real-only",
+            "duplicated",
+            "near-identical",
+            "disjoint",
+            "near-disjoint",
+        )
+        for i in range(48):
+            kind = kinds[i % len(kinds)]
+            n = int(rng.integers(1, 7))
+            r = int(rng.integers(1, 7))
+            space = OutcomeSpace(tuple(f"o{j}" for j in range(n)))
+            if r == 1 or n == 1:
+                named_raws = random_named_raws(rng, r, n)
+            else:
+                named_raws = _edge_named_raws(rng, kind, r, n)
+            s = make_source_set(space, named_raws)
+            reports = [
+                build_validate_report(space, named_raws),
+                build_measure_report(s),
+                build_fuse_report(s),
+                build_select_report(s, select_sources(s, "exhaustive")),
+            ]
+            for report in reports:
+                expected = json.dumps(
+                    _rounded(report), indent=2 if pretty else None, allow_nan=False
+                )
+                assert render_report(report, pretty) == expected
+
+    def test_render_escapes_strings_like_json_dumps(self):
+        report = {"space": ["caf\u00e9", 'say "hi"', "back\\slash", "\u2603\n"]}
+        for pretty in (False, True):
+            expected = json.dumps(report, indent=2 if pretty else None)
+            assert render_report(report, pretty) == expected
 
 
 # --- one validation route: the validate report and make_source_set agree ---

@@ -6,7 +6,13 @@ runs ``cvdfusion.cli.main`` in-process, imported from ``--src``, on
 
 - every CLI document of one pass of each benchmark workload
   (``bench/workloads.py``, read-only) for each seed, in compact and
-  ``--pretty`` mode, and
+  ``--pretty`` mode,
+- fixed edge documents through every command, in both modes, so that every
+  branch of the report writer runs: duplicated sources (off-diagonal 1.0
+  and 0.0), near-identical sources (conflict near 1e-13, an exponent
+  form), disjoint supports (compatibility 0.0), one source over one
+  outcome, names with non-ASCII characters, quotes and backslashes, and
+  ``fuse --weights``, and
 - a fixed list of help, usage and I/O argv cases.
 
 It prints one JSON line per run (argv, exit code, stdout length and sha256,
@@ -15,8 +21,9 @@ trees behave the same on the corpus exactly when their outputs are equal:
 ``diff a.jsonl b.jsonl``.  Every input file is written under one fixed
 directory of this checkout (``.cli_outcomes/``), so paths inside error
 messages match across trees.
-``--seeds`` with no values runs only the fixed argv cases, which need
-neither numpy nor the workloads, so they run under any interpreter.
+``--seeds`` with no values runs only the edge documents and the fixed argv
+cases, which need neither numpy nor the workloads, so they run under any
+interpreter.
 """
 
 from __future__ import annotations
@@ -39,6 +46,54 @@ PAIR_JSON = (
     ' "sources": [{"name": "s1", "values": [[0.5, 0.3], [0.5, -0.3]]},'
     '             {"name": "s2", "values": [[0.6, -0.2], [0.4, 0.2]]}]}'
 )
+
+EDGE_DOCS = {
+    "duplicated": {
+        "space": ["up", "down"],
+        "sources": [
+            {"name": "s1", "values": [[0.5, 0.3], [0.5, -0.3]]},
+            {"name": "s2", "values": [[0.5, 0.3], [0.5, -0.3]]},
+            {"name": "s3", "values": [[0.6, -0.2], [0.4, 0.2]]},
+        ],
+    },
+    "near-identical": {
+        "space": ["up", "down"],
+        "sources": [
+            {"name": "s1", "values": [[0.5, 0.0], [0.5, 0.0]]},
+            {"name": "s2", "values": [[0.5000003, 0.0], [0.4999997, 0.0]]},
+        ],
+    },
+    "disjoint": {
+        "space": ["up", "down", "flat"],
+        "sources": [
+            {"name": "s1", "values": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},
+            {"name": "s2", "values": [[0.0, 0.0], [0.5, 0.25], [0.5, -0.25]]},
+        ],
+    },
+    "single": {"space": ["only"], "sources": [{"name": "s", "values": [[1.0, 0.0]]}]},
+    "names": {
+        "space": ["caf\u00e9", 'say "hi"', "back\\slash"],
+        "sources": [
+            {"name": "na\u00efve \u2603", "values": [[0.5, 0.1], [0.25, 0], [0.25, -0.1]]},
+            {"name": '"quoted"', "values": [[0.2, 0], [0.3, 0.2], [0.5, -0.2]]},
+            {"name": "C:\\dir\\s", "values": [[0.4, 0], [0.4, 0], [0.2, 0]]},
+        ],
+    },
+}
+
+
+def edge_cases() -> list[tuple[str, list[str]]]:
+    """Every command on each of EDGE_DOCS, written under WORK_DIR."""
+    cases = []
+    for name, doc in EDGE_DOCS.items():
+        path = WORK_DIR / f"edge-{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for command in ("validate", "measure", "fuse", "select"):
+            cases.append((f"edge-{name}-{command}", [command, "--input", str(path)]))
+        if name == "duplicated":
+            argv = ["fuse", "--input", str(path), "--weights", "0.25,0.5,0.25"]
+            cases.append((f"edge-{name}-fuse-weights", argv))
+    return cases
 
 
 def fixed_cases(pair: str, missing: str, directory: str) -> list[tuple[str, list[str]]]:
@@ -120,7 +175,8 @@ def main() -> int:
     WORK_DIR.mkdir(parents=True)
     pair = WORK_DIR / "pair.json"
     pair.write_text(PAIR_JSON, encoding="utf-8")
-    cases = [(name, argv, "compact") for name, argv in workload_cases(args.seeds)]
+    documents = workload_cases(args.seeds) + edge_cases()
+    cases = [(name, argv, "compact") for name, argv in documents]
     cases += [(name, argv + ["--pretty"], "pretty") for name, argv, _ in cases]
     cases += [(name, argv, "fixed") for name, argv in
               fixed_cases(str(pair), str(WORK_DIR / "absent.json"), str(WORK_DIR))]
