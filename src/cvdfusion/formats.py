@@ -50,39 +50,17 @@ NamedRaws = list[tuple[str, Sequence[Sequence[float]]]]
 RawDocument = tuple[OutcomeSpace, NamedRaws]
 
 
-def detect_format(text: str) -> str:
-    """Guess json vs csv from the content.
-
-    An object or an array means JSON, and so does any other document that
-    parses as JSON, so a top-level array or scalar fails the JSON schema
-    instead of the CSV header check.  Everything else is CSV; a CSV
-    document stops the JSON decoder within its first cell.
-    """
-    stripped = text.lstrip()
-    if not stripped:
-        raise MalformedSyntaxError("empty input")
-    if stripped[0] in "{[":
-        return "json"
-    try:
-        json.loads(stripped, parse_int=float)
-    except ValueError:
-        return "csv"
-    return "json"
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A decoded JSON object; a repeated key is refused, not overwritten."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise SchemaViolationError(f"duplicate key: {key!r}")
+        doc[key] = value
+    return doc
 
 
-def _parse_json_document(text: str) -> RawDocument:
-    # Integers decode straight to float: one with more than 308 digits
-    # becomes inf (rejected as NonFinite, like the literal 1e400) instead of
-    # overflowing float() or hitting int()'s 4300-digit limit.
-    try:
-        doc = json.loads(text, parse_int=float)
-    except json.JSONDecodeError as err:
-        raise MalformedSyntaxError(
-            f"invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}"
-        ) from err
-    except RecursionError:
-        raise MalformedSyntaxError("invalid JSON: nested too deeply") from None
-
+def _parse_json_document(doc: object) -> RawDocument:
     if not isinstance(doc, dict):
         raise SchemaViolationError("top level must be an object")
     unknown = set(doc) - {"space", "sources"}
@@ -159,7 +137,7 @@ def _parse_csv_document(text: str) -> RawDocument:
         rows = [row for row in csv.reader(io.StringIO(text)) if row]
     except csv.Error as err:
         raise MalformedSyntaxError(f"invalid CSV: {err}") from err
-    # Never empty: detect_format refused blank text; any other text yields a row.
+    # Never empty: parse_raw_document refused blank text; any other text yields a row.
     space = _parse_csv_header(rows[0])
     n = space.size
     if len(rows) < 2:
@@ -192,9 +170,13 @@ def parse_raw_document(text: str | bytes) -> RawDocument:
     """Parse to (space, named raw pairs) without CvD validation.
 
     Bytes are decoded as UTF-8 first; one leading byte-order mark (U+FEFF)
-    is dropped.  The format comes from the content (detect_format).  Raises
-    MalformedSyntaxError for undecodable or unparseable input and
-    SchemaViolationError when the structure does not match the schema.
+    is dropped.  One JSON decode chooses the format: text it decodes is
+    JSON, so a top-level array or scalar fails the JSON schema; text it
+    cannot decode is CSV unless its first non-space character is '{' or
+    '[', and then it is invalid JSON.  Raises MalformedSyntaxError for
+    blank, undecodable or unparseable input and SchemaViolationError when
+    the structure does not match the schema, a JSON object repeats a key
+    included.
     """
     if isinstance(text, bytes):
         try:
@@ -202,9 +184,23 @@ def parse_raw_document(text: str | bytes) -> RawDocument:
         except UnicodeDecodeError as err:
             raise MalformedSyntaxError(f"input is not valid UTF-8: {err}") from err
     text = text.removeprefix("\ufeff")
-    if detect_format(text) == "json":
-        return _parse_json_document(text)
-    return _parse_csv_document(text)
+    stripped = text.lstrip()
+    if not stripped:
+        raise MalformedSyntaxError("empty input")
+    # Integers decode straight to float: one with more than 308 digits
+    # becomes inf (rejected as NonFinite, like the literal 1e400) instead of
+    # overflowing float() or hitting int()'s 4300-digit limit.
+    try:
+        doc = json.loads(text, parse_int=float, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as err:
+        if stripped[0] not in "{[":
+            return _parse_csv_document(text)
+        raise MalformedSyntaxError(
+            f"invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}"
+        ) from err
+    except RecursionError:
+        raise MalformedSyntaxError("invalid JSON: nested too deeply") from None
+    return _parse_json_document(doc)
 
 
 def parse_source_file(data: str | bytes, *, tol: float = DEFAULT_TOL) -> SourceSet:

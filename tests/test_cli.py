@@ -313,6 +313,22 @@ class TestExitCodes:
         assert record["error"] == "SchemaViolation"
         assert record["message"] == "top level must be an object"
 
+    def test_repeated_key_is_one_schema_violation(self, capsys, tmp_path):
+        # decoded with last-key-wins this was valid: space ["x", "y"], one source s2
+        doc = (
+            '{"space": ["a", "b"], "space": ["x", "y"], "sources":'
+            ' [{"name": "s1", "name": "s2", "values": [[0.5, 0], [0.5, 0]]}]}'
+        )
+        path = write(tmp_path, "repeated.json", doc)
+        code, out, err = run_cli(capsys, "validate", "--input", path)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "SchemaViolation"
+        # each object is checked as the decoder closes it, so the source first
+        assert record["message"] == "duplicate key: 'name'"
+
     def test_csv_field_over_the_limit_is_malformed(self, capsys, tmp_path):
         cell = "1" * 131_073  # one past csv.field_size_limit()'s default
         path = write(tmp_path, "wide.csv", f"name,a_re,a_im\ns,{cell},0\n")

@@ -30,7 +30,6 @@ from cvdfusion.formats import (
     build_measure_report,
     build_select_report,
     build_validate_report,
-    detect_format,
     parse_raw_document,
     render_report,
     round_sig,
@@ -73,14 +72,56 @@ class TestParsing:
         )
 
     def test_format_detection(self):
-        assert detect_format(TWO_SOURCE_JSON) == "json"
-        assert detect_format(" [1, 2]") == "json"
-        for token in ('"abc"', "1", "-2.5", "null", " true\n"):
-            assert detect_format(token) == "json"
-        assert detect_format(TWO_SOURCE_CSV) == "csv"
-        assert detect_format('"name"' + TWO_SOURCE_CSV[4:]) == "csv"
-        with pytest.raises(MalformedSyntaxError):
-            detect_format("   \n ")
+        # text the JSON decoder accepts is JSON, so arrays and scalars fail
+        # the JSON schema instead of the CSV header check
+        assert parse_raw_document(TWO_SOURCE_JSON)[0].labels == ("up", "down")
+        for token in (" [1, 2]", '"abc"', "1", "-2.5", "null", " true\n"):
+            with pytest.raises(SchemaViolationError, match="top level must be an object"):
+                parse_raw_document(token)
+        # text it rejects is CSV, a quoted "name" header cell included
+        for text in (TWO_SOURCE_CSV, '"name"' + TWO_SOURCE_CSV[4:]):
+            space, named_raws = parse_raw_document(text)
+            assert space.labels == ("up", "down")
+            assert [name for name, _ in named_raws] == ["s1", "s2"]
+            assert named_raws[0][1] == [(0.5, 0.3), (0.5, -0.3)]
+        with pytest.raises(MalformedSyntaxError, match="empty input"):
+            parse_raw_document("   \n ")
+
+    @pytest.mark.parametrize(
+        "text", [TWO_SOURCE_JSON, '"abc"', "1", "null", TWO_SOURCE_CSV]
+    )
+    def test_one_decode_per_document(self, monkeypatch, text):
+        calls = []
+        real_loads = json.loads
+
+        def counting_loads(*args, **kwargs):
+            calls.append(args)
+            return real_loads(*args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting_loads)
+        try:
+            parse_raw_document(text)
+        except SchemaViolationError:
+            pass  # the scalars fail the schema after their one decode
+        assert len(calls) == 1
+
+    def test_repeated_top_level_key_is_refused(self):
+        doc = (
+            '{"space": ["a", "b"], "space": ["x", "y"],'
+            ' "sources": [{"name": "s1", "values": [[0.5, 0], [0.5, 0]]}]}'
+        )
+        with pytest.raises(SchemaViolationError) as exc:
+            parse_raw_document(doc)
+        assert str(exc.value) == "duplicate key: 'space'"
+
+    def test_repeated_key_in_a_source_is_refused(self):
+        doc = (
+            '{"space": ["a", "b"],'
+            ' "sources": [{"name": "s1", "name": "s2", "values": [[0.5, 0], [0.5, 0]]}]}'
+        )
+        with pytest.raises(SchemaViolationError) as exc:
+            parse_raw_document(doc)
+        assert str(exc.value) == "duplicate key: 'name'"
 
     def test_top_level_array_is_json(self):
         with pytest.raises(SchemaViolationError, match="top level must be an object"):
