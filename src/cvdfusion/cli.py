@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from contextlib import suppress
-from pathlib import Path
 
 from .core import DEFAULT_TOL, _check_tol
 from .errors import CvdError
@@ -157,7 +156,8 @@ def _build_parser() -> _ArgumentParser:
 def _read_input(path: str) -> bytes:
     if path == "-":
         return sys.stdin.buffer.read()
-    return Path(path).read_bytes()
+    with open(path, "rb") as file:
+        return file.read()
 
 
 def _report(args, data: bytes) -> dict:

@@ -16,7 +16,7 @@ fusion outputs are valid vectors without renormalization.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter, mul
@@ -144,51 +144,38 @@ def fuse(s: SourceSet, w: CredibilityWeights) -> CvdVector:
     return CvdVector(s.space, _weighted_entry_sum(s.vectors, values))
 
 
-def _select_exhaustive(s: SourceSet, min_size: int) -> SelectionResult:
-    r = len(s)
-    if r > EXHAUSTIVE_MAX_SOURCES:
-        raise TooManySourcesForExhaustiveError(
-            f"exhaustive selection supports at most {EXHAUSTIVE_MAX_SOURCES} "
-            f"sources, got {r}"
-        )
-    g = gram(s)
-    # Only size-min_size subsets: the mean of a larger subset is the average
-    # of its leave-one-out means, so by Jensen's inequality on ||.||^2 it
-    # never scores higher than the best of them (equal only if all its
-    # members are; then summing more copies can only add rounding error,
-    # which could otherwise let a larger subset win by an ulp).
-    # Lexicographic enumeration; max keeps the first of equal qualities, so
-    # ties resolve to the lexicographically lowest subset.
-    subsets = combinations(range(r), min_size)
-    quality, best = max(((subset_quality(g, c), c) for c in subsets), key=_first)
-    return SelectionResult(best, quality, "exhaustive")
+def _best(
+    g: Sequence[Sequence[float]], subsets: Iterable[tuple[int, ...]]
+) -> tuple[float, tuple[int, ...]]:
+    """The highest-quality subset and its quality, scored from g.
+
+    max keeps the first of equal qualities, so ties resolve to the subset
+    that comes first in the given order.
+    """
+    return max(((subset_quality(g, c), c) for c in subsets), key=_first)
 
 
-def _select_greedy(s: SourceSet, min_size: int) -> SelectionResult:
+def _select_greedy(s: SourceSet, min_size: int) -> tuple[float, tuple[int, ...]]:
     rows = float_rows(s)
-    r = len(rows)
-    # subset_quality(g, chosen + [k]) reads only G[k][k] and the rows of the
-    # chosen sources: start from the diagonal, and compute the Gram row of
-    # each chosen source before the first round that reads it.
+    # subset_quality(g, chosen + (k,)) reads only G[k][k] and the rows of
+    # the chosen sources: start from the diagonal, and compute the Gram row
+    # of each chosen source before the first round that reads it.
     g: list[dict[int, float] | list[float]] = [
         {k: row_products(row, (row,))[0]} for k, row in enumerate(rows)
     ]
-    chosen = [max(range(r), key=lambda k: g[k][k])]
-    remaining = [k for k in range(r) if k != chosen[0]]
-    quality = subset_quality(g, chosen)
+    chosen, quality = (), 0.0
+    remaining = list(range(len(rows)))
     while remaining:
-        g[chosen[-1]] = row_products(rows[chosen[-1]], rows)
-        next_quality, candidate = max(
-            ((subset_quality(g, chosen + [k]), k) for k in remaining), key=_first
-        )
+        if chosen:
+            g[chosen[-1]] = row_products(rows[chosen[-1]], rows)
+        next_quality, candidate = _best(g, [chosen + (k,) for k in remaining])
         # Below min_size additions are forced; past it, only strict
         # improvements, so the last set is the best one of size >= min_size.
         if len(chosen) >= min_size and not next_quality > quality:
             break
-        chosen.append(candidate)
-        remaining.remove(candidate)
-        quality = next_quality
-    return SelectionResult(tuple(chosen), quality, "greedy")
+        chosen, quality = candidate, next_quality
+        remaining.remove(chosen[-1])
+    return quality, chosen
 
 
 def select_sources(
@@ -199,8 +186,8 @@ def select_sources(
     ``exhaustive`` evaluates every subset of size min_size (r <= 15): a
     larger subset's mean averages its leave-one-out means, so by Jensen's
     inequality it never scores higher;
-    ``greedy`` seeds with the highest-quality single source and keeps adding
-    the source with the largest quality gain: the first min_size sources
+    ``greedy`` keeps adding the source with the largest quality gain, so its
+    first round picks the best single source: the first min_size sources
     are forced, and it stops at the first later round that does not
     strictly improve quality.  All ties break to the lowest source index, so
     identical inputs always yield identical results.
@@ -209,7 +196,21 @@ def select_sources(
     if not 1 <= min_size <= r:
         raise BadMinSizeError(f"min_size must be in 1..{r}, got {min_size}")
     if strategy == "exhaustive":
-        return _select_exhaustive(s, min_size)
-    if strategy == "greedy":
-        return _select_greedy(s, min_size)
-    raise ValueError(f"unknown strategy {strategy!r}, expected exhaustive|greedy")
+        if r > EXHAUSTIVE_MAX_SOURCES:
+            raise TooManySourcesForExhaustiveError(
+                f"exhaustive selection supports at most {EXHAUSTIVE_MAX_SOURCES} "
+                f"sources, got {r}"
+            )
+        # Only size-min_size subsets: the mean of a larger subset is the
+        # average of its leave-one-out means, so by Jensen's inequality on
+        # ||.||^2 it never scores higher than the best of them (equal only
+        # if all its members are; then summing more copies can only add
+        # rounding error, which could otherwise let a larger subset win by
+        # an ulp).  Lexicographic enumeration, so ties resolve to the
+        # lexicographically lowest subset.
+        quality, chosen = _best(gram(s), combinations(range(r), min_size))
+    elif strategy == "greedy":
+        quality, chosen = _select_greedy(s, min_size)
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}, expected exhaustive|greedy")
+    return SelectionResult(chosen, quality, strategy)

@@ -37,6 +37,13 @@ TWO_SOURCE_CSV = (
     "name,up_re,up_im,down_re,down_im\ns1,0.5,0.3,0.5,-0.3\ns2,0.6,-0.2,0.4,0.2\n"
 )
 
+# one valid source and one whose entries sum to 1.2
+MIXED_VALIDITY_JSON = (
+    '{"space": ["a", "b"],'
+    ' "sources": [{"name": "good", "values": [[0.5, 0], [0.5, 0]]},'
+    '             {"name": "bad", "values": [[0.6, 0], [0.6, 0]]}]}'
+)
+
 FOUR_SOURCE_JSON = json.dumps(
     {
         "space": ["a", "b", "c", "d"],
@@ -233,12 +240,7 @@ class TestValidate:
         assert json.loads(out)["valid"] is True
 
     def test_invalid_source_reports_verdicts_and_exits_one(self, capsys, tmp_path):
-        doc = (
-            '{"space": ["a", "b"],'
-            ' "sources": [{"name": "good", "values": [[0.5, 0], [0.5, 0]]},'
-            '             {"name": "bad", "values": [[0.6, 0], [0.6, 0]]}]}'
-        )
-        path = write(tmp_path, "mixed.json", doc)
+        path = write(tmp_path, "mixed.json", MIXED_VALIDITY_JSON)
         code, out, err = run_cli(capsys, "validate", "--input", path)
         assert code == 1
         report = json.loads(out)
@@ -269,6 +271,17 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "IOError"
+
+    def test_empty_input_path_is_a_missing_file(self, capsys, tmp_path, monkeypatch):
+        # '' names no file: it must not be read as the current directory
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "measure", "--input", "")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "IOError",
+            "message": f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: ''",
+        }
 
     def test_domain_error_names_source(self, capsys, tmp_path):
         doc = (
@@ -398,6 +411,39 @@ class TestExitCodes:
         assert set(record) >= {"error", "message"}
 
 
+# The ``error`` field of the CLI's stderr record for each CvdError class.
+ERROR_CODES = {
+    "CvdError": "CvdError",
+    "LengthMismatchError": "LengthMismatch",
+    "NonFiniteError": "NonFinite",
+    "NegativeRealPartError": "NegativeRealPart",
+    "ModulusExceedsOneError": "ModulusExceedsOne",
+    "SumNotUnityError": "SumNotUnity",
+    "InvalidOutcomeSpaceError": "InvalidOutcomeSpace",
+    "DuplicateNameError": "DuplicateName",
+    "SpaceMismatchError": "SpaceMismatch",
+    "WeightLengthMismatchError": "WeightLengthMismatch",
+    "InvalidWeightsError": "InvalidWeights",
+    "TooManySourcesForExhaustiveError": "TooManySourcesForExhaustive",
+    "BadMinSizeError": "BadMinSize",
+    "MalformedSyntaxError": "MalformedSyntax",
+    "SchemaViolationError": "SchemaViolation",
+}
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        name
+        for name in cvdfusion.__all__
+        if isinstance(getattr(cvdfusion, name), type)
+        and issubclass(getattr(cvdfusion, name), cvdfusion.CvdError)
+    ],
+)
+def test_error_code_of_each_public_error_class(name):
+    assert getattr(cvdfusion, name).code == ERROR_CODES[name]
+
+
 class TestEntryPoints:
     def test_python_dash_m(self, tmp_path):
         path = write(tmp_path, "pair.json", TWO_SOURCE_JSON)
@@ -493,6 +539,14 @@ class TestUnwritableReport:
 
     def test_full_device(self, tmp_path, monkeypatch):
         procs = self._run_into(tmp_path, monkeypatch, _full_device)
+        self._assert_one_io_error(procs, errno.ENOSPC)
+
+    def test_invalid_validate_report_to_full_device(self, tmp_path, monkeypatch):
+        # the failed report write is the one record: no ValidationFailed
+        # record follows it
+        path = write(tmp_path, "mixed.json", MIXED_VALIDITY_JSON)
+        argv = ["validate", "--input", path]
+        procs = self._run_into(tmp_path, monkeypatch, _full_device, argv)
         self._assert_one_io_error(procs, errno.ENOSPC)
 
     @pytest.mark.parametrize("argv", [["--help"], ["fuse", "--help"]])
@@ -604,12 +658,14 @@ class TestOneGramPerDocument:
         assert code == 0
         assert built == [4]
 
-    @pytest.mark.parametrize("min_size", [1, 5])
+    @pytest.mark.parametrize("min_size", [1, 5, 40])
     def test_greedy_computes_only_the_rows_it_reads(
         self, capsys, tmp_path, monkeypatch, min_size
     ):
-        # Greedy needs the diagonal plus one Gram row per chosen source: at
-        # most r + len(chosen) * r pair products, and no full Gram matrix.
+        # Greedy needs the diagonal (r products), then one Gram row (r
+        # products) per chosen source that a later round reads: every chosen
+        # source when it stops early, all but the last when it takes all r.
+        # No full Gram matrix is built.
         built = _record_calls(monkeypatch, cvdfusion.measures.gram, len)
         products = _record_calls(
             monkeypatch, cvdfusion.measures.row_products, lambda row, rows: len(rows)
@@ -624,7 +680,8 @@ class TestOneGramPerDocument:
         chosen = json.loads(out)["selection"]["chosen"]
         assert len(chosen) >= min_size
         assert built == []
-        assert 0 < sum(products) <= r + len(chosen) * r
+        rows_read = len(chosen) if len(chosen) < r else r - 1
+        assert sum(products) == r + r * rows_read
 
 
 class TestOptimizedInterpreter:

@@ -127,6 +127,27 @@ class TestMakeCvd:
         with pytest.raises(SumNotUnityError):
             make_cvd(space, raw, tol=1e-6)
 
+    def test_values_at_the_tolerance_are_accepted(self):
+        # t and every sum below are exact in binary, so each check meets
+        # its bound exactly: a real part of -t, a modulus of 1 + t and a
+        # sum t away from 1 + 0i all pass
+        t = 2.0**-20
+        v = make_cvd(SPACE2, [(1.0 + t, 0.0), (-t, 0.0)], tol=t)
+        assert v.entries == (complex(1.0 + t, 0.0), 0j)
+        make_cvd(SPACE2, [(0.5 + t, 0.0), (0.5, 0.0)], tol=t)
+        make_cvd(SPACE2, [(0.5, t), (0.5, 0.0)], tol=t)
+
+    def test_values_past_the_tolerance_are_rejected(self):
+        t = 2.0**-20
+        with pytest.raises(ModulusExceedsOneError, match="entry 0 "):
+            make_cvd(SPACE2, [(1.0 + 2 * t, 0.0), (-2 * t, 0.0)], tol=t)
+        with pytest.raises(NegativeRealPartError, match="entry 1 "):
+            make_cvd(SPACE2, [(1.0 + t, 0.0), (-2 * t, 0.0)], tol=t)
+        with pytest.raises(SumNotUnityError):
+            make_cvd(SPACE2, [(0.5 + 2 * t, 0.0), (0.5, 0.0)], tol=t)
+        with pytest.raises(SumNotUnityError):
+            make_cvd(SPACE2, [(0.5, 2 * t), (0.5, 0.0)], tol=t)
+
     def test_entries_stored_exactly(self):
         raw = [(0.123456789012345, 0.2), (0.876543210987655, -0.2)]
         v = make_cvd(SPACE2, raw)

@@ -1,5 +1,7 @@
 """Aggregation, credibility weighting, fusion, and source selection."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,13 @@ from cvdfusion import (
     select_sources,
 )
 
-from oracles import random_named_raws, ref_best_subset, ref_compatibility, to_array
+from oracles import (
+    random_named_raws,
+    ref_aggregate,
+    ref_best_subset,
+    ref_compatibility,
+    to_array,
+)
 
 SPACE2 = OutcomeSpace(("up", "down"))
 RAW_A = [(0.5, 0.3), (0.5, -0.3)]
@@ -297,6 +305,19 @@ class TestSelectSources:
 
     def test_exhaustive_source_cap(self):
         raws = random_named_raws(np.random.default_rng(18), 16, 2)
+        # r = 15 is the largest set exhaustive accepts: at min_size 7 it
+        # scores all C(15, 7) = 6435 subsets, the most it ever scores.
+        at_cap = select_sources(_set(raws[:15]), "exhaustive", min_size=7)
+        vectors = [to_array(raw) for _, raw in raws[:15]]
+        qualities = {
+            c: ref_aggregate([vectors[k] for k in c])
+            for c in combinations(range(15), 7)
+        }
+        oracle_subset = max(qualities, key=qualities.get)
+        assert at_cap.chosen == oracle_subset
+        assert at_cap.achieved_quality == pytest.approx(
+            qualities[oracle_subset], abs=1e-12
+        )
         s = _set(raws)
         with pytest.raises(TooManySourcesForExhaustiveError):
             select_sources(s, "exhaustive")
