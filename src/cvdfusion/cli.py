@@ -9,6 +9,7 @@ could not be written), 3 usage error.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -33,16 +34,27 @@ EXIT_IO = 2
 EXIT_USAGE = 3
 
 
-def _drop_unwritten(stream) -> None:
-    """Point the stream's fd at the null device after a failed write.
+def _write(stream, text: str, end: str) -> OSError | None:
+    """Print text, then end, to stream and flush; the error if that fails.
 
-    The unwritten bytes stay in the stream's buffer, and the flush at
+    A stream that is None (its fd was closed when the process started) is
+    EBADF.  After a failed write the stream's fd points at the null device:
+    the unwritten bytes stay in the stream's buffer, and the flush at
     interpreter exit would fail on them again ("Exception ignored", exit
     120); the signal module's SIGPIPE note advises this.  A stream with no
     fd (UnsupportedOperation) is left alone.
     """
-    with suppress(OSError), open(os.devnull, "wb") as null:
-        os.dup2(null.fileno(), stream.fileno())
+    if stream is None:  # print(file=None) would write to sys.stdout
+        return OSError(errno.EBADF, os.strerror(errno.EBADF))
+    try:
+        # end goes as a second write: a copy of a large report in text + end
+        # raised the benchmark's peak RSS by 5 MB
+        print(text, end=end, file=stream, flush=True)
+    except OSError as err:
+        with suppress(OSError), open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), stream.fileno())
+        return err
+    return None
 
 
 def _emit_error(
@@ -55,23 +67,15 @@ def _emit_error(
     record: dict = {"error": code, "message": message}
     if source is not None:
         record["source"] = source
-    try:
-        print(json.dumps(record), file=sys.stderr, flush=True)
-    except OSError:
-        _drop_unwritten(sys.stderr)
+    if _write(sys.stderr, json.dumps(record), "\n") is not None:
         return EXIT_IO
     return exit_code
 
 
 def _write_stdout(text: str, what: str, end: str = "") -> int:
     """Print text to stdout; one IOError record if that fails (a closed
-    pipe, a full disk)."""
-    try:
-        # end goes as a second write: a copy of a large report in text + end
-        # raised the benchmark's peak RSS by 5 MB
-        print(text, end=end, flush=True)
-    except OSError as err:
-        _drop_unwritten(sys.stdout)
+    pipe, a full disk, a stdout closed at start-up)."""
+    if (err := _write(sys.stdout, text, end)) is not None:
         return _emit_error(EXIT_IO, "IOError", f"cannot write the {what}: {err}")
     return EXIT_OK
 
@@ -155,6 +159,8 @@ def _build_parser() -> _ArgumentParser:
 
 def _read_input(path: str) -> bytes:
     if path == "-":
+        if sys.stdin is None:  # fd 0 was closed when the process started
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         return sys.stdin.buffer.read()
     with open(path, "rb") as file:
         return file.read()

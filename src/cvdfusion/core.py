@@ -128,8 +128,16 @@ def _ordered_sum(values: Iterable, start=0.0):
     return reduce(operator.add, values, start)
 
 
+def _isfinite(x) -> bool:
+    """math.isfinite, but False for an int too large for a float."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0.0):
+    if not (_isfinite(tol) and tol > 0.0):
         raise CvdError(f"tolerance must be finite and positive, got {tol!r}")
 
 
@@ -141,7 +149,7 @@ def make_cvd(
     """Validate (re, im) pairs against the CvD constraints and build a vector.
 
     Checks, in order: entry count equals the space size; every component is
-    finite; real parts are >= -tol (values in [-tol, 0) are clamped to 0);
+    finite (an int too large for a float is not); real parts are >= -tol (values in [-tol, 0) are clamped to 0);
     every modulus is <= 1 + tol; and the post-clamp complex sum is within
     tol of 1 + 0i in both components.  Input order is preserved.
 
@@ -161,8 +169,11 @@ def make_cvd(
     re_sum = im_sum = 0.0
     for j, pair in enumerate(raw):
         re, im = pair
-        re = float(re)
-        im = float(im)
+        try:
+            re = float(re)
+            im = float(im)
+        except OverflowError:  # an int past the float range is not finite
+            re = im = math.inf
         if not (math.isfinite(re) and math.isfinite(im)):
             raise NonFiniteError(f"entry {j} ({space.labels[j]!r}) is not finite")
         if re < -tol:

@@ -2,7 +2,10 @@
 
 Every error carries a stable ``code`` string (used by the CLI for
 machine-parsable stderr records) and an optional ``source`` name telling
-which input source triggered it.
+which input source triggered it.  The code is the class name without its
+``Error`` suffix (``NonFiniteError`` is ``NonFinite``), set once for every
+subclass by ``CvdError.__init_subclass__``; a subclass of a subclass gets
+its own name, not its parent's.  The base class's code is ``CvdError``.
 """
 
 from __future__ import annotations
@@ -12,6 +15,10 @@ class CvdError(ValueError):
     """Base class for all validation and domain errors raised by cvdfusion."""
 
     code = "CvdError"
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.code = cls.__name__.removesuffix("Error")
 
     def __init__(self, message: str, *, source: str | None = None):
         super().__init__(message)
@@ -29,43 +36,29 @@ class CvdError(ValueError):
 class LengthMismatchError(CvdError):
     """Entry count differs from the outcome-space size."""
 
-    code = "LengthMismatch"
-
 
 class NonFiniteError(CvdError):
-    """An entry contains NaN or infinity."""
-
-    code = "NonFinite"
+    """An entry contains NaN or infinity, or an int too large for a float."""
 
 
 class NegativeRealPartError(CvdError):
     """A real part lies below -tol (small negatives within tol are clamped)."""
 
-    code = "NegativeRealPart"
-
 
 class ModulusExceedsOneError(CvdError):
     """An entry's modulus sqrt(re^2 + im^2) exceeds 1 + tol."""
-
-    code = "ModulusExceedsOne"
 
 
 class SumNotUnityError(CvdError):
     """The complex entry sum deviates from 1 + 0i by more than tol."""
 
-    code = "SumNotUnity"
-
 
 class InvalidOutcomeSpaceError(CvdError):
     """Outcome labels are empty, non-distinct, or otherwise unusable."""
 
-    code = "InvalidOutcomeSpace"
-
 
 class DuplicateNameError(CvdError):
     """Two sources in one set share a name."""
-
-    code = "DuplicateName"
 
 
 # --- operation preconditions ---
@@ -73,31 +66,21 @@ class DuplicateNameError(CvdError):
 class SpaceMismatchError(CvdError):
     """Operands are defined on different outcome spaces."""
 
-    code = "SpaceMismatch"
-
 
 class WeightLengthMismatchError(CvdError):
     """Weight vector length differs from the number of sources."""
-
-    code = "WeightLengthMismatch"
 
 
 class InvalidWeightsError(CvdError):
     """Weights are negative, not finite, or do not sum to 1 within tolerance."""
 
-    code = "InvalidWeights"
-
 
 class TooManySourcesForExhaustiveError(CvdError):
     """Exhaustive selection requested for more sources than the subset cap allows."""
 
-    code = "TooManySourcesForExhaustive"
-
 
 class BadMinSizeError(CvdError):
     """Selection min_size is outside 1..r."""
-
-    code = "BadMinSize"
 
 
 # --- file parsing ---
@@ -105,10 +88,6 @@ class BadMinSizeError(CvdError):
 class MalformedSyntaxError(CvdError):
     """Input bytes are not syntactically valid JSON/CSV (or not UTF-8)."""
 
-    code = "MalformedSyntax"
-
 
 class SchemaViolationError(CvdError):
     """Input parses but does not match the source-file schema."""
-
-    code = "SchemaViolation"

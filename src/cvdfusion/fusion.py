@@ -15,13 +15,12 @@ fusion outputs are valid vectors without renormalization.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter, mul
 
-from .core import CvdVector, SourceSet, _ordered_sum
+from .core import CvdVector, SourceSet, _isfinite, _ordered_sum
 from .errors import (
     BadMinSizeError,
     InvalidWeightsError,
@@ -135,7 +134,7 @@ def fuse(s: SourceSet, w: CredibilityWeights) -> CvdVector:
         raise WeightLengthMismatchError(
             f"got {len(values)} weights for {len(s)} sources"
         )
-    if not all(math.isfinite(v) and v >= 0.0 for v in values):
+    if not all(_isfinite(v) and v >= 0.0 for v in values):
         raise InvalidWeightsError("weights must be finite and nonnegative")
     total = _ordered_sum(values)
     if abs(total - 1.0) > WEIGHT_SUM_TOL:

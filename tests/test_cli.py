@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, report contracts, exit codes, stderr records."""
 
+import ast
 import errno
 import io
 import json
@@ -444,6 +445,36 @@ def test_error_code_of_each_public_error_class(name):
     assert getattr(cvdfusion, name).code == ERROR_CODES[name]
 
 
+def _is_print(node):
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "print"
+    )
+
+
+def test_cli_writes_only_through_write():
+    # The guard in _write (a None stream, a failed write, the fd pointed at
+    # the null device) holds only for text that goes through it: --help and
+    # error records have each bypassed it before.
+    tree = ast.parse((ROOT / "src" / "cvdfusion" / "cli.py").read_text("utf-8"))
+    prints = [node for node in ast.walk(tree) if _is_print(node)]
+    write = next(
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_write"
+    )
+    assert len(prints) == 1 and prints[0] in ast.walk(write)
+    writes = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("write", "writelines")
+    ]
+    assert writes == []
+
+
 class TestEntryPoints:
     def test_python_dash_m(self, tmp_path):
         path = write(tmp_path, "pair.json", TWO_SOURCE_JSON)
@@ -491,6 +522,16 @@ def _full_device():
     if not os.path.exists("/dev/full"):
         pytest.skip("this system has no /dev/full")
     return open("/dev/full", "wb")
+
+
+def _run_with_closed_fd(fd, argv):
+    """Run the CLI in a child that closes fd and then execs Python, so the
+    CLI starts with that standard stream set to None."""
+    start = (
+        f"import os, sys; os.close({fd}); "
+        "os.execv(sys.executable, [sys.executable, '-m', 'cvdfusion', *sys.argv[1:]])"
+    )
+    return run_child([sys.executable, "-c", start, *argv], text=True)
 
 
 class TestUnwritableReport:
@@ -573,6 +614,41 @@ class TestUnwritableReport:
 
         with redirect_stderr(Unwritable()):
             assert main(["measure", "--input", str(tmp_path / "absent.json")]) == 2
+
+    @pytest.mark.parametrize("command", ["measure", "validate", "--help"])
+    def test_stdout_closed_at_start_up(self, tmp_path, command):
+        # print(file=None) writes nothing and raises nothing: the exit code
+        # was 0
+        if command == "--help":
+            argv, what = [command], "help text"
+        else:
+            argv = [command, "--input", write(tmp_path, "pair.json", TWO_SOURCE_JSON)]
+            what = "report"
+        proc = _run_with_closed_fd(1, argv)
+        self._assert_one_io_error([proc], errno.EBADF, what)
+
+    def test_stdin_closed_at_start_up(self):
+        # sys.stdin.buffer on None was an AttributeError traceback, exit 1
+        proc = _run_with_closed_fd(0, ["measure", "--input", "-"])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr) == {
+            "error": "IOError",
+            "message": f"[Errno {errno.EBADF}] {os.strerror(errno.EBADF)}",
+        }
+        assert proc.stderr.count("\n") == 1
+
+    def test_stderr_closed_at_start_up(self, tmp_path):
+        # the missing file's record went to stdout, exit 1
+        proc = _run_with_closed_fd(2, ["measure", "--input", str(tmp_path / "absent")])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+
+    def test_no_stderr_in_process(self, capsys, tmp_path, monkeypatch):
+        # as under pythonw: print(file=None) would put the record on stdout
+        monkeypatch.setattr(sys, "stderr", None)
+        assert main(["measure", "--input", str(tmp_path / "absent.json")]) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestOneParserPerProcess:

@@ -93,6 +93,22 @@ class TestMakeCvd:
         with pytest.raises(NonFiniteError):
             make_cvd(SPACE2, [(0.5, bad), (0.5, 0.0)])
 
+    @pytest.mark.parametrize("position", [0, 1], ids=["real", "imag"])
+    @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+    def test_int_past_the_float_range_is_non_finite(self, position, sign):
+        # float(10**400) raises OverflowError; the entry gets the error and
+        # the message that 1e400 gets
+        def build(value):
+            entry = [0.5, 0.0]
+            entry[position] = value
+            return make_cvd(SPACE2, [tuple(entry), (0.5, 0.0)])
+
+        with pytest.raises(NonFiniteError) as as_float:
+            build(sign * math.inf)
+        with pytest.raises(NonFiniteError) as as_int:
+            build(sign * 10**400)
+        assert as_int.value.message == as_float.value.message
+
     def test_negative_real_rejected(self):
         with pytest.raises(NegativeRealPartError):
             make_cvd(SPACE2, [(-0.001, 0.0), (1.001, 0.0)])
@@ -116,6 +132,17 @@ class TestMakeCvd:
             make_cvd(SPACE2, [(5.0, 3.0), (7.0, 0.0)], tol=tol)
         with pytest.raises(CvdError) as info:
             make_source_set(SPACE2, [("s", [(0.0, 0.0), (0.0, 0.0)])], tol=tol)
+        assert info.value.source is None
+
+    def test_tol_past_the_float_range(self):
+        # math.isfinite(10**400) raises OverflowError
+        with pytest.raises(CvdError) as info:
+            make_cvd(SPACE2, [(0.5, 0.0), (0.5, 0.0)], tol=10**400)
+        assert type(info.value) is CvdError
+        assert info.value.message.startswith("tolerance must be finite and positive")
+        with pytest.raises(CvdError) as info:
+            make_source_set(SPACE2, [("s", [(0.5, 0.0), (0.5, 0.0)])], tol=10**400)
+        assert type(info.value) is CvdError
         assert info.value.source is None
 
     def test_sum_checked_after_clamping(self):
@@ -211,6 +238,18 @@ class TestMakeSourceSet:
             )
         assert exc.value.source == "bad"
         assert "bad" in str(exc.value)
+
+    def test_int_past_the_float_range_names_the_source(self):
+        with pytest.raises(NonFiniteError) as exc:
+            make_source_set(
+                SPACE2,
+                [
+                    ("good", [(0.5, 0.0), (0.5, 0.0)]),
+                    ("big", [(0.5, 0.0), (0.5, 10**400)]),
+                ],
+            )
+        assert exc.value.source == "big"
+        assert exc.value.message == "entry 1 ('down') is not finite"
 
     def test_duplicate_name(self):
         raw = [(0.5, 0.0), (0.5, 0.0)]

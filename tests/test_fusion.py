@@ -201,6 +201,15 @@ class TestFuse:
         with pytest.raises(InvalidWeightsError):
             fuse(s, CredibilityWeights(weights))
 
+    @pytest.mark.parametrize(
+        "weights", [(10**400, 0), (1, -(10**400))], ids=["positive", "negative"]
+    )
+    def test_int_weight_past_the_float_range(self, weights):
+        # math.isfinite(10**400) raises OverflowError
+        s = _set([("s1", RAW_A), ("s2", RAW_B)])
+        with pytest.raises(InvalidWeightsError):
+            fuse(s, CredibilityWeights(weights))
+
     def test_sum_not_one(self):
         s = _set([("s1", RAW_A), ("s2", RAW_B)])
         with pytest.raises(InvalidWeightsError):

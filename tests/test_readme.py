@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import cvdfusion
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -55,3 +57,18 @@ def test_example_output(tmp_path, command, expected):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected.encode("utf-8")
+
+
+# codes only the CLI writes: no CvdError class carries them
+CLI_ONLY_CODES = ["ValidationFailed", "IOError", "Usage"]
+
+
+def test_every_error_code_is_listed():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    codes = [
+        error.code
+        for error in map(vars(cvdfusion).get, cvdfusion.__all__)
+        if isinstance(error, type) and issubclass(error, cvdfusion.CvdError)
+    ]
+    assert len(codes) == 15
+    assert [c for c in codes + CLI_ONLY_CODES if f"`{c}`" not in readme] == []
