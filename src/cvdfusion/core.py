@@ -56,6 +56,8 @@ class OutcomeSpace:
     def __post_init__(self):
         if isinstance(self.labels, str):  # tuple("up") would be ('u', 'p')
             raise InvalidOutcomeSpaceError("labels must be a sequence, not a str")
+        if not isinstance(self.labels, Iterable):
+            raise InvalidOutcomeSpaceError("labels must be a sequence of strings")
         object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.labels) < 1:
             raise InvalidOutcomeSpaceError("outcome space needs at least one label")
@@ -129,16 +131,26 @@ def _ordered_sum(values: Iterable, start=0.0):
 
 
 def _isfinite(x) -> bool:
-    """math.isfinite, but False for an int too large for a float."""
+    """math.isfinite, but False for an int too large for a float and for a
+    value that is not a real number (a str, None, a complex)."""
     try:
         return math.isfinite(x)
-    except OverflowError:
+    except (OverflowError, TypeError):
         return False
+
+
+def _shown(x) -> str:
+    """repr(x) for an error message, or an int's bit length where its repr
+    would pass Python's 4,300-digit limit and raise ValueError."""
+    try:
+        return repr(x)
+    except ValueError:
+        return f"an int of {x.bit_length()} bits"
 
 
 def _check_tol(tol: float) -> None:
     if not (_isfinite(tol) and tol > 0.0):
-        raise CvdError(f"tolerance must be finite and positive, got {tol!r}")
+        raise CvdError(f"tolerance must be finite and positive, got {_shown(tol)}")
 
 
 def make_cvd(
@@ -155,8 +167,9 @@ def make_cvd(
 
     Raises LengthMismatchError, NonFiniteError, NegativeRealPartError,
     ModulusExceedsOneError or SumNotUnityError accordingly, and CvdError if
-    tol is not a finite positive number.  The sums follow _ordered_sum's
-    rule, accumulated inside the entry loop.
+    tol is not a finite positive number or an entry is not a (re, im) pair
+    of real numbers (numeric strings such as "0.5" count as real numbers).
+    The sums follow _ordered_sum's rule, accumulated inside the entry loop.
     """
     _check_tol(tol)
     n = space.size
@@ -168,12 +181,17 @@ def make_cvd(
     entries: list[complex] = []
     re_sum = im_sum = 0.0
     for j, pair in enumerate(raw):
-        re, im = pair
         try:
+            re, im = pair
             re = float(re)
             im = float(im)
         except OverflowError:  # an int past the float range is not finite
             re = im = math.inf
+        except (TypeError, ValueError):
+            raise CvdError(
+                f"entry {j} ({space.labels[j]!r}) must be a (re, im) pair "
+                f"of real numbers"
+            ) from None
         if not (math.isfinite(re) and math.isfinite(im)):
             raise NonFiniteError(f"entry {j} ({space.labels[j]!r}) is not finite")
         if re < -tol:
@@ -206,14 +224,23 @@ def _validate_each(space: OutcomeSpace, named_raws: Sequence, tol: float):
     positive, before anything is yielded.  Then yields (name, CvdVector or
     CvdError) per source, in input order: a repeated name gives a
     DuplicateNameError without ``source``; any other error is make_cvd's,
-    with ``source`` set to the name.
+    with ``source`` set to the name.  An item that is not a (name, values)
+    pair, or a name that is not a non-empty str, raises CvdError naming the
+    item's index when the loop reaches it: the emitters could not write
+    such a name back.
     """
     if len(named_raws) < 1:
         raise CvdError("a source set needs at least one source")
     _check_tol(tol)
 
     seen: set[str] = set()
-    for name, raw in named_raws:
+    for i, item in enumerate(named_raws):
+        try:
+            name, raw = item
+        except (TypeError, ValueError):
+            raise CvdError(f"source {i} must be a (name, values) pair") from None
+        if not (isinstance(name, str) and name):
+            raise CvdError(f"source {i} name must be a non-empty string")
         if name in seen:
             yield name, DuplicateNameError(f"duplicate source name {name!r}")
             continue
@@ -233,11 +260,11 @@ def make_source_set(
 ) -> SourceSet:
     """Validate every named raw vector and assemble a SourceSet.
 
-    Names must be pairwise distinct.  The checks are ``_validate_each``,
-    the route formats.build_validate_report reads too: this raises
-    CvdError for an empty list or a bad tol, then the first per-source
-    error (annotated with the offending source name), validating nothing
-    after it.
+    Names must be pairwise distinct, non-empty strings.  The checks are
+    ``_validate_each``, the route formats.build_validate_report reads too:
+    this raises CvdError for an empty list or a bad tol, then the first
+    per-source error (annotated with the offending source name),
+    validating nothing after it.
     """
     sources: list[tuple[str, CvdVector]] = []
     for name, outcome in _validate_each(space, named_raws, tol):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter, mul
 
-from .core import CvdVector, SourceSet, _isfinite, _ordered_sum
+from .core import CvdVector, SourceSet, _isfinite, _ordered_sum, _shown
 from .errors import (
     BadMinSizeError,
     InvalidWeightsError,
@@ -155,7 +155,7 @@ def _best(
 
 
 def _select_greedy(s: SourceSet, min_size: int) -> tuple[float, tuple[int, ...]]:
-    rows = float_rows(s)
+    rows = float_rows(s.vectors)
     # subset_quality(g, chosen + (k,)) reads only G[k][k] and the rows of
     # the chosen sources: start from the diagonal, and compute the Gram row
     # of each chosen source before the first round that reads it.
@@ -192,8 +192,9 @@ def select_sources(
     identical inputs always yield identical results.
     """
     r = len(s)
-    if not 1 <= min_size <= r:
-        raise BadMinSizeError(f"min_size must be in 1..{r}, got {min_size}")
+    # Int-likes (bool, numpy ints) have __index__; 1.5, 2.0, "1" and None do not.
+    if not (hasattr(min_size, "__index__") and 1 <= min_size <= r):
+        raise BadMinSizeError(f"min_size must be in 1..{r}, got {_shown(min_size)}")
     if strategy == "exhaustive":
         if r > EXHAUSTIVE_MAX_SOURCES:
             raise TooManySourcesForExhaustiveError(

@@ -1,4 +1,4 @@
-"""Scalar measures on complex-valued distribution vectors.
+"""Measures on complex-valued distribution vectors, all from one kernel.
 
 All operations are pure functions on immutable inputs.  For vectors a, b on
 the same outcome space:
@@ -10,41 +10,48 @@ the same outcome space:
     conflict(a, b)         = 1 - compatibility(a, b)
     information_quality(a) = ||a||^2
 
-The cosine/compatibility numerators are the Hermitian-symmetric average
-(<a,b> + <b,a>) / 2, which equals Re<a,b>; they are computed via the real
-part directly.  Valid vectors have norm >= 1/sqrt(n) > 0, so the divisions
-cannot degenerate; a defensive check raises AssertionError (also under
-python -O) if a norm underflows 1e-15, which would mean an invalid value
-escaped construction.
-
-On a source set every measure is read off the real Gram matrix
-G[k][h] = Re<C_k, C_h>, computed from float rows: each source is split once
-into a tuple of real parts and a tuple of imaginary parts (``float_rows``),
-and every product is the explicit loop
+Every real-valued measure comes from one kernel, ``row_products``.  Each
+vector is split once into a tuple of real parts and a tuple of imaginary
+parts (``float_rows``), and every product Re<a,b> is the explicit loop
 
     acc = 0.0
-    for p, q, u, v in zip(re_k, im_k, re_h, im_h):
+    for p, q, u, v in zip(re_a, im_a, re_b, im_b):
         acc += p*u + q*v
 
-of ``row_products``, which returns one source's products with a list of
-sources.  ``gram`` builds all of G with one such call per row, each
+On a source set that gives the real Gram matrix G[k][h] = Re<C_k, C_h>:
+``gram`` builds all of it with one row_products call per row, each
 unordered pair (k <= h) once and mirrored exactly; greedy selection reads
 Gram rows on demand instead, the diagonal plus the row of each source it
 adds, and gets the same bits because p*u + q*v is symmetric bit for bit.
-Every product is bit for bit inner_product(C_k, C_h).real (and, on the
-diagonal, information_quality(C_k)): CPython takes the real part of
-x * conj(y) as x.re*y.re - x.im*(-y.im), which is exactly x.re*y.re +
-x.im*y.im, and inner_product's complex sum (core._ordered_sum from 0j) also
-adds real parts left to right from 0.0.
 ``matrix_from_gram`` turns G into any pairwise matrix (one square root per
-source); subset qualities sum G in the order the subset lists its sources
-(``subset_quality``).
+source), and each kind is defined once, as a function of the clamped cosine
+(``_OF_COSINE``); subset qualities sum G in the order the subset lists its
+sources (``subset_quality``).
+
+The scalar measures are the two-source case of the same route:
+cosine_angle, compatibility and conflict are the off-diagonal entry of the
+kind's matrix over (a, b), and information_quality(a) is a's diagonal
+product.  So a scalar answer and the matching matrix entry of a report
+cannot disagree.  Re<a,b> is also the Hermitian-symmetric average
+(<a,b> + <b,a>) / 2, so the cosine needs no complex arithmetic.
+
+Valid vectors have norm >= 1/sqrt(n) > 0, so the divisions cannot
+degenerate; matrix_from_gram raises AssertionError (also under python -O)
+if any norm is below 1e-15 or NaN, which would mean an invalid value
+escaped construction.
+
+inner_product keeps its own complex route, because it returns the
+imaginary part too.  Its real part equals the kernel bit for bit, and the
+tests check it as the independent second route: CPython takes the real
+part of x * conj(y) as x.re*y.re - x.im*(-y.im), which is exactly
+x.re*y.re + x.im*y.im, and inner_product's complex sum (core._ordered_sum
+from 0j) adds real parts left to right from 0.0, as the kernel does.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .core import CvdVector, SourceSet, _ordered_sum
@@ -69,14 +76,13 @@ def inner_product(a: CvdVector, b: CvdVector) -> complex:
 
 
 def information_quality(a: CvdVector) -> float:
-    """Squared norm ||a||^2.
+    """Squared norm ||a||^2, the diagonal product row_products gives for a.
 
     For a real-valued (probability) vector p this is sum_j p_j^2, i.e.
     1 - Gini(p): bounded in [1/n, 1].  Complex entries can push it up to n.
     """
-    # The imaginary part is exactly 0: CPython forms each x * conj(x) as
-    # xi*xr + xr*(-xi).
-    return inner_product(a, a).real
+    [row] = float_rows((a,))
+    return row_products(row, (row,))[0]
 
 
 def norm(a: CvdVector) -> float:
@@ -84,26 +90,15 @@ def norm(a: CvdVector) -> float:
     return math.sqrt(information_quality(a))
 
 
-def _norm_of(g_aa: float) -> float:
-    na = math.sqrt(g_aa)
-    if not na > _NORM_FLOOR:
-        # Raised explicitly, not asserted, so that python -O keeps the check.
-        raise AssertionError(
-            "norm underflow: an invalid vector escaped construction"
-        )
-    return na
-
-
-def _cosine(g_ab: float, na: float, nb: float) -> float:
-    return min(1.0, max(-1.0, g_ab / (na * nb)))
+def _pair_entry(a: CvdVector, b: CvdVector, kind: str) -> float:
+    """The (a, b) entry of the kind's matrix over the two sources a and b."""
+    _require_same_space(a, b)
+    return pairwise_matrix(SourceSet(a.space, (("a", a), ("b", b))), kind).values[0][1]
 
 
 def cosine_angle(a: CvdVector, b: CvdVector) -> float:
     """Cosine of the angle between a and b, clamped into [-1, 1]."""
-    g_ab = inner_product(a, b).real
-    return _cosine(
-        g_ab, _norm_of(information_quality(a)), _norm_of(information_quality(b))
-    )
+    return _pair_entry(a, b, "cosine")
 
 
 def compatibility(a: CvdVector, b: CvdVector) -> float:
@@ -112,22 +107,22 @@ def compatibility(a: CvdVector, b: CvdVector) -> float:
     1 means the vectors are identical, 0 means (at least) disjoint support.
     Equals abs(cosine_angle(a, b)).
     """
-    return abs(cosine_angle(a, b))
+    return _pair_entry(a, b, "compatibility")
 
 
 def conflict(a: CvdVector, b: CvdVector) -> float:
     """Conflict degree 1 - compatibility(a, b), in [0, 1]."""
-    return 1.0 - compatibility(a, b)
+    return _pair_entry(a, b, "conflict")
 
 
 FloatRow = tuple[tuple[float, ...], tuple[float, ...]]
 
 
-def float_rows(s: SourceSet) -> list[FloatRow]:
-    """Each source as one (real parts, imaginary parts) pair of float tuples."""
+def float_rows(vectors: Iterable[CvdVector]) -> list[FloatRow]:
+    """Each vector as one (real parts, imaginary parts) pair of float tuples."""
     return [
         (tuple(c.real for c in v.entries), tuple(c.imag for c in v.entries))
-        for v in s.vectors
+        for v in vectors
     ]
 
 
@@ -156,7 +151,7 @@ def gram(s: SourceSet) -> list[list[float]]:
     and are mirrored, so G equals inner_product(C_k, C_h).real bit for bit
     (and information_quality(C_k) on the diagonal).
     """
-    rows = float_rows(s)
+    rows = float_rows(s.vectors)
     r = len(rows)
     g = [[0.0] * r for _ in range(r)]
     for k in range(r):
@@ -230,12 +225,17 @@ def matrix_from_gram(g: Sequence[Sequence[float]], kind: str) -> PairwiseMatrix:
         ) from None
 
     r = len(g)
-    norms = [_norm_of(g[k][k]) for k in range(r)]
+    norms = [math.sqrt(g[k][k]) for k in range(r)]
+    # Every norm is checked (min() would skip a NaN past the first), and
+    # raised explicitly, not asserted, so that python -O keeps the check.
+    if not all(nk > _NORM_FLOOR for nk in norms):
+        raise AssertionError("norm underflow: an invalid vector escaped construction")
     grid = [[of_cosine(1.0)] * r for _ in range(r)]
     for k in range(r):
         gk, nk = g[k], norms[k]
         for h in range(k + 1, r):
-            grid[k][h] = grid[h][k] = of_cosine(_cosine(gk[h], nk, norms[h]))
+            cosine = min(1.0, max(-1.0, gk[h] / (nk * norms[h])))
+            grid[k][h] = grid[h][k] = of_cosine(cosine)
     return PairwiseMatrix(kind, r, tuple(tuple(row) for row in grid))
 
 

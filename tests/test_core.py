@@ -288,3 +288,74 @@ class TestCvdVectorContainer:
         # make_cvd is the validating path; the dataclass just stores.
         v = CvdVector(SPACE2, (0.5 + 0.3j, 0.5 - 0.3j))
         assert v.entries[0] == 0.5 + 0.3j
+
+
+class TestMalformedStructure:
+    """Malformed shapes and types give a CvdError, never a bare TypeError or
+    ValueError, and name the offending source where there is one."""
+
+    @pytest.mark.parametrize(
+        "entry",
+        [(0.5,), 0.5, (0.5, None), (0.5, "x"), (0.5, 0.0, 0.0), (0.5, 1j)],
+        ids=["short", "not-a-pair", "none", "word", "long", "complex"],
+    )
+    def test_entry_that_is_not_a_pair_of_reals(self, entry):
+        raw = [entry, (0.5, 0.0)]
+        with pytest.raises(CvdError) as info:
+            make_cvd(SPACE2, raw)
+        assert type(info.value) is CvdError
+        assert info.value.message == (
+            "entry 0 ('up') must be a (re, im) pair of real numbers"
+        )
+        with pytest.raises(CvdError) as info:
+            make_source_set(SPACE2, [("good", [(0.5, 0.0)] * 2), ("bad", raw)])
+        assert type(info.value) is CvdError
+        assert info.value.source == "bad"
+
+    def test_numeric_strings_stay_accepted(self):
+        v = make_cvd(SPACE2, [("0.5", "0.25"), ("0.5", "-0.25")])
+        assert v.entries == (0.5 + 0.25j, 0.5 - 0.25j)
+
+    @pytest.mark.parametrize(
+        "item",
+        [("s1", [(0.5, 0.0)] * 2, "x"), ("s1",), 5],
+        ids=["three", "one", "int"],
+    )
+    def test_item_that_is_not_a_name_values_pair(self, item):
+        with pytest.raises(CvdError) as info:
+            make_source_set(SPACE2, [("good", [(0.5, 0.0)] * 2), item])
+        assert type(info.value) is CvdError
+        assert info.value.message == "source 1 must be a (name, values) pair"
+
+    @pytest.mark.parametrize("name", ["", 1, None, b"s1"])
+    def test_name_that_is_not_a_non_empty_str(self, name):
+        # the JSON and CSV emitters could not write such a name back
+        with pytest.raises(CvdError) as info:
+            make_source_set(SPACE2, [(name, [(0.5, 0.0)] * 2)])
+        assert type(info.value) is CvdError
+        assert info.value.message == "source 0 name must be a non-empty string"
+
+    @pytest.mark.parametrize("labels", [5, None, 1.5])
+    def test_labels_that_are_not_iterable(self, labels):
+        with pytest.raises(InvalidOutcomeSpaceError):
+            OutcomeSpace(labels)
+
+    @pytest.mark.parametrize("tol", ["1e-9", None, 1j])
+    def test_tol_that_is_not_a_real_number(self, tol):
+        with pytest.raises(CvdError) as info:
+            make_cvd(SPACE2, [(0.5, 0.0), (0.5, 0.0)], tol=tol)
+        assert type(info.value) is CvdError
+        assert info.value.message == (
+            f"tolerance must be finite and positive, got {tol!r}"
+        )
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_tol_past_the_int_string_limit(self, sign):
+        # repr of an int beyond 4,300 digits raises ValueError: the message
+        # names the bit length instead
+        with pytest.raises(CvdError) as info:
+            make_cvd(SPACE2, [(0.5, 0.0), (0.5, 0.0)], tol=sign * 10**5000)
+        assert type(info.value) is CvdError
+        assert info.value.message == (
+            "tolerance must be finite and positive, got an int of 16610 bits"
+        )

@@ -337,3 +337,37 @@ class TestSelectSources:
         s = _set([("s1", RAW_A)])
         with pytest.raises(ValueError):
             select_sources(s, "simulated-annealing")
+
+
+class TestArgumentTypes:
+    """A numeric argument of the wrong type or size gets its typed error."""
+
+    @pytest.mark.parametrize(
+        "weights", [("1", "0"), (None, 1.0), (1j, 0.0)], ids=["str", "none", "complex"]
+    )
+    def test_weights_that_are_not_real_numbers(self, weights):
+        s = _set([("s1", RAW_A), ("s2", RAW_B)])
+        with pytest.raises(InvalidWeightsError):
+            fuse(s, CredibilityWeights(weights))
+
+    @pytest.mark.parametrize("strategy", ["exhaustive", "greedy"])
+    @pytest.mark.parametrize("min_size", [1.5, 2.0, "1", None])
+    def test_min_size_that_is_not_an_int(self, strategy, min_size):
+        s = _set([("s1", RAW_A), ("s2", RAW_B), ("s3", RAW_A)])
+        with pytest.raises(BadMinSizeError) as info:
+            select_sources(s, strategy, min_size)
+        assert info.value.message == f"min_size must be in 1..3, got {min_size!r}"
+
+    @pytest.mark.parametrize("strategy", ["exhaustive", "greedy"])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_min_size_past_the_int_string_limit(self, strategy, sign):
+        s = _set([("s1", RAW_A), ("s2", RAW_B)])
+        with pytest.raises(BadMinSizeError) as info:
+            select_sources(s, strategy, sign * 10**5000)
+        assert info.value.message == "min_size must be in 1..2, got an int of 16610 bits"
+
+    @pytest.mark.parametrize("strategy", ["exhaustive", "greedy"])
+    def test_integer_like_min_size_stays_accepted(self, strategy):
+        s = _set([("s1", RAW_A), ("s2", RAW_B), ("s3", RAW_A)])
+        expected = select_sources(s, strategy, 2)
+        assert select_sources(s, strategy, np.int64(2)) == expected

@@ -1,12 +1,19 @@
 """Scalar measures against hand-derived fixtures and the numpy reference."""
 
+import ast
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cvdfusion import (
+    CvdVector,
     OutcomeSpace,
+    SourceSet,
     SpaceMismatchError,
     aggregate_quality,
     compatibility,
@@ -269,3 +276,63 @@ class TestPairwiseMatrix:
         s = make_source_set(SPACE2, [("s1", RAW_A)])
         with pytest.raises(ValueError):
             pairwise_matrix(s, "distance")
+
+
+class TestNormFloor:
+    """matrix_from_gram checks every norm, so an invalid vector that
+    escaped construction fails loudly in every measure that divides by one."""
+
+    VALID = make_cvd(SPACE2, RAW_A)
+    ZERO = CvdVector(SPACE2, (0j, 0j))
+    NAN = CvdVector(SPACE2, (complex(math.nan, 0.0), 1 + 0j))
+
+    @pytest.mark.parametrize("measure", [cosine_angle, compatibility, conflict])
+    @pytest.mark.parametrize("order", ["zero-first", "nan-second"])
+    def test_scalar_measures_raise(self, measure, order):
+        pairs = {"zero-first": (self.ZERO, self.VALID), "nan-second": (self.VALID, self.NAN)}
+        a, b = pairs[order]
+        with pytest.raises(AssertionError, match="^norm underflow"):
+            measure(a, b)
+
+    @pytest.mark.parametrize("kind", ["compatibility", "conflict", "cosine"])
+    @pytest.mark.parametrize("bad", ["zero", "nan"])
+    def test_matrices_raise_with_the_invalid_source_second(self, kind, bad):
+        s = SourceSet(
+            SPACE2, (("ok", self.VALID), ("bad", getattr(self, bad.upper())))
+        )
+        with pytest.raises(AssertionError, match="^norm underflow"):
+            pairwise_matrix(s, kind)
+
+    def test_check_survives_python_dash_O(self):
+        code = (
+            "from cvdfusion import CvdVector, OutcomeSpace, conflict\n"
+            "space = OutcomeSpace(('up', 'down'))\n"
+            "v = CvdVector(space, (0j, 0j))\n"
+            "try:\n"
+            "    conflict(v, v)\n"
+            "except AssertionError as err:\n"
+            "    print(err)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.stdout.startswith("norm underflow")
+
+
+def test_no_function_in_src_calls_inner_product():
+    # Every real-valued measure comes from row_products; inner_product is
+    # the public complex route and the tests' independent check on it.
+    package = Path(__file__).resolve().parent.parent / "src" / "cvdfusion"
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and "inner_product"
+        in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert calls == []
