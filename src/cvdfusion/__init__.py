@@ -5,99 +5,26 @@ Public API: validated CvD construction (:func:`make_cvd`,
 compatibility, conflict, information quality, aggregate quality), pairwise
 matrices, credibility-weighted fusion, quality-maximizing source selection,
 and JSON/CSV source-file I/O.
+
+Each module declares the names it contributes in its own ``__all__``; the
+package exports their concatenation, in the order below, plus
+``__version__``.
 """
 
-from .core import (
-    DEFAULT_TOL,
-    CvdVector,
-    OutcomeSpace,
-    SourceSet,
-    make_cvd,
-    make_source_set,
-)
-from .errors import (
-    BadMinSizeError,
-    CvdError,
-    DuplicateNameError,
-    InvalidOutcomeSpaceError,
-    InvalidWeightsError,
-    LengthMismatchError,
-    MalformedSyntaxError,
-    ModulusExceedsOneError,
-    NegativeRealPartError,
-    NonFiniteError,
-    SchemaViolationError,
-    SpaceMismatchError,
-    SumNotUnityError,
-    TooManySourcesForExhaustiveError,
-    WeightLengthMismatchError,
-)
-from .formats import (
-    emit_source_csv,
-    emit_source_json,
-    parse_source_file,
-)
-from .fusion import (
-    CredibilityWeights,
-    SelectionResult,
-    credibility_weights,
-    fuse,
-    mean_aggregate,
-    select_sources,
-)
-from .measures import (
-    PairwiseMatrix,
-    aggregate_quality,
-    compatibility,
-    conflict,
-    cosine_angle,
-    information_quality,
-    inner_product,
-    norm,
-    pairwise_matrix,
-)
+from . import core, errors, formats, fusion, measures
+from .core import *
+from .errors import *
+from .formats import *
+from .fusion import *
+from .measures import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_TOL",
-    "OutcomeSpace",
-    "CvdVector",
-    "SourceSet",
-    "make_cvd",
-    "make_source_set",
-    "inner_product",
-    "norm",
-    "cosine_angle",
-    "compatibility",
-    "conflict",
-    "information_quality",
-    "aggregate_quality",
-    "PairwiseMatrix",
-    "pairwise_matrix",
-    "mean_aggregate",
-    "CredibilityWeights",
-    "credibility_weights",
-    "fuse",
-    "SelectionResult",
-    "select_sources",
-    "parse_source_file",
-    "emit_source_json",
-    "emit_source_csv",
-    "CvdError",
-    "LengthMismatchError",
-    "NonFiniteError",
-    "NegativeRealPartError",
-    "ModulusExceedsOneError",
-    "SumNotUnityError",
-    "InvalidOutcomeSpaceError",
-    "DuplicateNameError",
-    "SpaceMismatchError",
-    "WeightLengthMismatchError",
-    "InvalidWeightsError",
-    "TooManySourcesForExhaustiveError",
-    "BadMinSizeError",
-    "MalformedSyntaxError",
-    "SchemaViolationError",
+    *core.__all__,
+    *measures.__all__,
+    *fusion.__all__,
+    *formats.__all__,
+    *errors.__all__,
     "__version__",
 ]

@@ -38,6 +38,15 @@ from .errors import (
     SumNotUnityError,
 )
 
+__all__ = [
+    "DEFAULT_TOL",
+    "OutcomeSpace",
+    "CvdVector",
+    "SourceSet",
+    "make_cvd",
+    "make_source_set",
+]
+
 DEFAULT_TOL = 1e-9
 
 RawEntry = tuple[float, float]
@@ -49,6 +58,8 @@ class OutcomeSpace:
 
     Entry j of every vector on this space refers to ``labels[j]``; order is
     significant.  Two spaces compare equal iff their label sequences match.
+    Any ordered iterable of labels is accepted; a set or frozenset is
+    refused, because its order changes with the hash seed.
     """
 
     labels: tuple[str, ...]
@@ -56,6 +67,10 @@ class OutcomeSpace:
     def __post_init__(self):
         if isinstance(self.labels, str):  # tuple("up") would be ('u', 'p')
             raise InvalidOutcomeSpaceError("labels must be a sequence, not a str")
+        if isinstance(self.labels, (set, frozenset)):  # order varies by hash seed
+            raise InvalidOutcomeSpaceError(
+                "labels must be an ordered sequence, not a set"
+            )
         if not isinstance(self.labels, Iterable):
             raise InvalidOutcomeSpaceError("labels must be a sequence of strings")
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -161,21 +176,29 @@ def make_cvd(
     """Validate (re, im) pairs against the CvD constraints and build a vector.
 
     Checks, in order: entry count equals the space size; every component is
-    finite (an int too large for a float is not); real parts are >= -tol (values in [-tol, 0) are clamped to 0);
-    every modulus is <= 1 + tol; and the post-clamp complex sum is within
-    tol of 1 + 0i in both components.  Input order is preserved.
+    finite (an int too large for a float is not); real parts are >= -tol
+    (values in [-tol, 0) are clamped to 0); every modulus is <= 1 + tol; and
+    the post-clamp complex sum is within tol of 1 + 0i in both components.
+    Input order is preserved.
 
     Raises LengthMismatchError, NonFiniteError, NegativeRealPartError,
     ModulusExceedsOneError or SumNotUnityError accordingly, and CvdError if
-    tol is not a finite positive number or an entry is not a (re, im) pair
-    of real numbers (numeric strings such as "0.5" count as real numbers).
+    tol is not a finite positive number, ``raw`` has no length (None, a
+    number, a generator), or an entry is not a (re, im) pair of real numbers
+    (numeric strings such as "0.5" count as real numbers).
     The sums follow _ordered_sum's rule, accumulated inside the entry loop.
     """
     _check_tol(tol)
     n = space.size
-    if len(raw) != n:
+    try:
+        count = len(raw)
+    except TypeError:
+        raise CvdError(
+            f"values must be a sequence of (re, im) pairs, got {type(raw).__name__}"
+        ) from None
+    if count != n:
         raise LengthMismatchError(
-            f"expected {n} entries for the outcome space, got {len(raw)}"
+            f"expected {n} entries for the outcome space, got {count}"
         )
 
     entries: list[complex] = []
@@ -220,16 +243,23 @@ def make_cvd(
 def _validate_each(space: OutcomeSpace, named_raws: Sequence, tol: float):
     """The one validation route behind make_source_set and the validate report.
 
-    Raises CvdError for an empty list or a tol that is not finite and
-    positive, before anything is yielded.  Then yields (name, CvdVector or
-    CvdError) per source, in input order: a repeated name gives a
-    DuplicateNameError without ``source``; any other error is make_cvd's,
-    with ``source`` set to the name.  An item that is not a (name, values)
-    pair, or a name that is not a non-empty str, raises CvdError naming the
-    item's index when the loop reaches it: the emitters could not write
-    such a name back.
+    Raises CvdError for an empty list, a ``named_raws`` without a length
+    (None, a generator) or a tol that is not finite and positive, before
+    anything is yielded.  Then yields (name, CvdVector or CvdError) per
+    source, in input order: a repeated name gives a DuplicateNameError
+    without ``source``; any other error is make_cvd's, with ``source`` set
+    to the name.  An item that is not a (name, values) pair, or a name that
+    is not a non-empty str, raises CvdError naming the item's index when the
+    loop reaches it: the emitters could not write such a name back.
     """
-    if len(named_raws) < 1:
+    try:
+        count = len(named_raws)
+    except TypeError:
+        raise CvdError(
+            "sources must be a sequence of (name, values) pairs, "
+            f"got {type(named_raws).__name__}"
+        ) from None
+    if count < 1:
         raise CvdError("a source set needs at least one source")
     _check_tol(tol)
 
@@ -262,9 +292,9 @@ def make_source_set(
 
     Names must be pairwise distinct, non-empty strings.  The checks are
     ``_validate_each``, the route formats.build_validate_report reads too:
-    this raises CvdError for an empty list or a bad tol, then the first
-    per-source error (annotated with the offending source name),
-    validating nothing after it.
+    this raises CvdError for an empty list, a list without a length or a
+    bad tol, then the first per-source error (annotated with the offending
+    source name), validating nothing after it.
     """
     sources: list[tuple[str, CvdVector]] = []
     for name, outcome in _validate_each(space, named_raws, tol):

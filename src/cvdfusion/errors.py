@@ -10,6 +10,24 @@ its own name, not its parent's.  The base class's code is ``CvdError``.
 
 from __future__ import annotations
 
+__all__ = [
+    "CvdError",
+    "LengthMismatchError",
+    "NonFiniteError",
+    "NegativeRealPartError",
+    "ModulusExceedsOneError",
+    "SumNotUnityError",
+    "InvalidOutcomeSpaceError",
+    "DuplicateNameError",
+    "SpaceMismatchError",
+    "WeightLengthMismatchError",
+    "InvalidWeightsError",
+    "TooManySourcesForExhaustiveError",
+    "BadMinSizeError",
+    "MalformedSyntaxError",
+    "SchemaViolationError",
+]
+
 
 class CvdError(ValueError):
     """Base class for all validation and domain errors raised by cvdfusion."""

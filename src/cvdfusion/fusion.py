@@ -36,6 +36,15 @@ from .measures import (
     subset_quality,
 )
 
+__all__ = [
+    "mean_aggregate",
+    "CredibilityWeights",
+    "credibility_weights",
+    "fuse",
+    "SelectionResult",
+    "select_sources",
+]
+
 WEIGHT_SUM_TOL = 1e-9
 
 # At most C(15, 7) = 6435 subsets of size min_size, each scored from one

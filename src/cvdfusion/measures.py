@@ -24,20 +24,23 @@ unordered pair (k <= h) once and mirrored exactly; greedy selection reads
 Gram rows on demand instead, the diagonal plus the row of each source it
 adds, and gets the same bits because p*u + q*v is symmetric bit for bit.
 ``matrix_from_gram`` turns G into any pairwise matrix (one square root per
-source), and each kind is defined once, as a function of the clamped cosine
-(``_OF_COSINE``); subset qualities sum G in the order the subset lists its
-sources (``subset_quality``).
+source).  Cosine and compatibility are each defined once, as a function of
+the clamped cosine (``_OF_COSINE``).  Conflict is not an entry of that
+table: it is 1 - compatibility, defined once by ``conflict_matrix`` over a
+finished compatibility matrix.  Subset qualities sum G in the order the
+subset lists its sources (``subset_quality``).
 
 The scalar measures are the two-source case of the same route:
-cosine_angle, compatibility and conflict are the off-diagonal entry of the
-kind's matrix over (a, b), and information_quality(a) is a's diagonal
-product.  So a scalar answer and the matching matrix entry of a report
-cannot disagree.  Re<a,b> is also the Hermitian-symmetric average
-(<a,b> + <b,a>) / 2, so the cosine needs no complex arithmetic.
+cosine_angle and compatibility are the off-diagonal entry of the kind's
+matrix over (a, b), conflict(a, b) is 1 - compatibility(a, b), and
+information_quality(a) is a's diagonal product.  So a scalar answer and the
+matching matrix entry of a report cannot disagree.  Re<a,b> is also the
+Hermitian-symmetric average (<a,b> + <b,a>) / 2, so the cosine needs no
+complex arithmetic.
 
 Valid vectors have norm >= 1/sqrt(n) > 0, so the divisions cannot
 degenerate; matrix_from_gram raises AssertionError (also under python -O)
-if any norm is below 1e-15 or NaN, which would mean an invalid value
+if any norm is at most 1e-15 or NaN, which would mean an invalid value
 escaped construction.
 
 inner_product keeps its own complex route, because it returns the
@@ -56,6 +59,18 @@ from dataclasses import dataclass
 
 from .core import CvdVector, SourceSet, _ordered_sum
 from .errors import SpaceMismatchError
+
+__all__ = [
+    "inner_product",
+    "norm",
+    "cosine_angle",
+    "compatibility",
+    "conflict",
+    "information_quality",
+    "aggregate_quality",
+    "PairwiseMatrix",
+    "pairwise_matrix",
+]
 
 _NORM_FLOOR = 1e-15
 
@@ -112,7 +127,7 @@ def compatibility(a: CvdVector, b: CvdVector) -> float:
 
 def conflict(a: CvdVector, b: CvdVector) -> float:
     """Conflict degree 1 - compatibility(a, b), in [0, 1]."""
-    return _pair_entry(a, b, "conflict")
+    return 1.0 - compatibility(a, b)
 
 
 FloatRow = tuple[tuple[float, ...], tuple[float, ...]]
@@ -203,12 +218,22 @@ class PairwiseMatrix:
     values: tuple[tuple[float, ...], ...]
 
 
-# Each kind as a function of the clamped cosine; its value at 1.0 is the diagonal.
+# Each kind but conflict as a function of the clamped cosine; its value at 1.0
+# is the diagonal.  Conflict is 1 - compatibility (conflict_matrix).
 _OF_COSINE = {
     "compatibility": abs,
-    "conflict": lambda c: 1.0 - abs(c),
     "cosine": lambda c: c,
 }
+
+
+def conflict_matrix(compat: PairwiseMatrix) -> PairwiseMatrix:
+    """The conflict matrix of a compatibility matrix: 1.0 - c, entry by entry.
+
+    This is conflict's one definition; conflict(a, b) = 1.0 -
+    compatibility(a, b) is its two-source case.
+    """
+    rows = tuple(tuple([1.0 - c for c in row]) for row in compat.values)
+    return PairwiseMatrix("conflict", compat.size, rows)
 
 
 def matrix_from_gram(g: Sequence[Sequence[float]], kind: str) -> PairwiseMatrix:
@@ -217,11 +242,14 @@ def matrix_from_gram(g: Sequence[Sequence[float]], kind: str) -> PairwiseMatrix:
     Each source's norm sqrt(G[k][k]) is taken once; each unordered pair is
     computed once and mirrored.
     """
+    if kind == "conflict":
+        return conflict_matrix(matrix_from_gram(g, "compatibility"))
     try:
         of_cosine = _OF_COSINE[kind]
     except KeyError:
         raise ValueError(
-            f"unknown matrix kind {kind!r}, expected one of {sorted(_OF_COSINE)}"
+            f"unknown matrix kind {kind!r}, "
+            f"expected one of {sorted([*_OF_COSINE, 'conflict'])}"
         ) from None
 
     r = len(g)

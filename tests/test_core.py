@@ -118,6 +118,11 @@ class TestMakeCvd:
         assert v.entries[0].real == 0.0
         assert v.entries[0] == 0.0 + 0.0j
 
+    def test_negative_zero_is_stored_as_given(self):
+        # -0.0 is not in [-tol, 0), the clamped range: it keeps its sign
+        v = make_cvd(SPACE2, [(-0.0, 0.0), (1.0, 0.0)])
+        assert math.copysign(1.0, v.entries[0].real) == -1.0
+
     def test_tol_override(self):
         raw = [(-1e-5, 0.0), (1.0, 0.0)]
         with pytest.raises(NegativeRealPartError):
@@ -335,6 +340,14 @@ class TestMalformedStructure:
         assert type(info.value) is CvdError
         assert info.value.message == "source 0 name must be a non-empty string"
 
+    @pytest.mark.parametrize("label", [5, b"up", ("up",)], ids=["int", "bytes", "tuple"])
+    def test_label_that_is_not_a_str(self, label):
+        with pytest.raises(InvalidOutcomeSpaceError) as info:
+            OutcomeSpace(("down", label))
+        assert info.value.message == (
+            f"label at position 1 must be a non-empty string, got {label!r}"
+        )
+
     @pytest.mark.parametrize("labels", [5, None, 1.5])
     def test_labels_that_are_not_iterable(self, labels):
         with pytest.raises(InvalidOutcomeSpaceError):
@@ -359,3 +372,73 @@ class TestMalformedStructure:
         assert info.value.message == (
             "tolerance must be finite and positive, got an int of 16610 bits"
         )
+
+
+class TestInputsWithoutALength:
+    """Values or sources without a length give a CvdError naming what was
+    expected, never a bare TypeError from len()."""
+
+    @pytest.mark.parametrize(
+        "raw",
+        [None, 5, ((0.5, 0.0) for _ in range(2))],
+        ids=["none", "int", "generator"],
+    )
+    def test_values_without_a_length(self, raw):
+        with pytest.raises(CvdError) as info:
+            make_cvd(SPACE2, raw)
+        assert type(info.value) is CvdError
+        assert info.value.message == (
+            f"values must be a sequence of (re, im) pairs, got {type(raw).__name__}"
+        )
+        assert info.value.source is None
+
+    def test_source_values_without_a_length_name_the_source(self):
+        with pytest.raises(CvdError) as info:
+            make_source_set(SPACE2, [("good", [(0.5, 0.0)] * 2), ("s1", 5)])
+        assert type(info.value) is CvdError
+        assert info.value.source == "s1"
+        assert info.value.message == (
+            "values must be a sequence of (re, im) pairs, got int"
+        )
+
+    @pytest.mark.parametrize(
+        "named_raws",
+        [None, ((name, [(0.5, 0.0)] * 2) for name in ("s1", "s2"))],
+        ids=["none", "generator"],
+    )
+    def test_sources_without_a_length(self, named_raws):
+        with pytest.raises(CvdError) as info:
+            make_source_set(SPACE2, named_raws)
+        assert type(info.value) is CvdError
+        assert info.value.message == (
+            "sources must be a sequence of (name, values) pairs, "
+            f"got {type(named_raws).__name__}"
+        )
+
+
+class TestUnorderedLabels:
+    """A set's iteration order depends on the hash seed, so entry j would
+    bind to a different label in each process: sets are refused."""
+
+    @pytest.mark.parametrize(
+        "labels",
+        [{"up", "down", "flat"}, frozenset({"up", "down"})],
+        ids=["set", "frozenset"],
+    )
+    def test_set_labels_rejected(self, labels):
+        with pytest.raises(InvalidOutcomeSpaceError, match="not a set"):
+            OutcomeSpace(labels)
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            ["up", "down"],
+            ("up", "down"),
+            (label for label in ("up", "down")),
+            {"up": 1, "down": 2},
+            {"up": 1, "down": 2}.keys(),
+        ],
+        ids=["list", "tuple", "generator", "dict", "dict-keys"],
+    )
+    def test_ordered_labels_accepted(self, labels):
+        assert OutcomeSpace(labels).labels == ("up", "down")

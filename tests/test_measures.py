@@ -277,6 +277,15 @@ class TestPairwiseMatrix:
         with pytest.raises(ValueError):
             pairwise_matrix(s, "distance")
 
+    def test_unknown_kind_message_lists_every_kind(self):
+        s = make_source_set(SPACE2, [("s1", RAW_A)])
+        with pytest.raises(ValueError) as info:
+            pairwise_matrix(s, "bogus")
+        assert str(info.value) == (
+            "unknown matrix kind 'bogus', "
+            "expected one of ['compatibility', 'conflict', 'cosine']"
+        )
+
 
 class TestNormFloor:
     """matrix_from_gram checks every norm, so an invalid vector that
@@ -302,6 +311,18 @@ class TestNormFloor:
         )
         with pytest.raises(AssertionError, match="^norm underflow"):
             pairwise_matrix(s, kind)
+
+    def test_the_floor_itself_is_refused(self):
+        # a norm of exactly 1e-15 is refused; the next float above it is not
+        for x, refused in ((1e-15, True), (math.nextafter(1e-15, 1.0), False)):
+            edge = CvdVector(SPACE2, (complex(x, 0.0), 0j))
+            assert math.sqrt(information_quality(edge)) == x
+            s = SourceSet(SPACE2, (("ok", self.VALID), ("edge", edge)))
+            if refused:
+                with pytest.raises(AssertionError, match="^norm underflow"):
+                    pairwise_matrix(s, "compatibility")
+            else:
+                assert pairwise_matrix(s, "compatibility").values[0][0] == 1.0
 
     def test_check_survives_python_dash_O(self):
         code = (
