@@ -3,7 +3,7 @@
 Reports go to stdout as JSON (single line unless --pretty); errors go to
 stderr as single-line JSON records.  Exit codes: 0 success, 1 validation
 or domain error, 2 I/O error (the input could not be read or the report
-could not be written), 3 usage error.
+could not be written) or memory exhausted, 3 usage error.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .fusion import CredibilityWeights, select_sources
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
-EXIT_IO = 2
+EXIT_IO = 2  # also MemoryExhausted
 EXIT_USAGE = 3
 
 
@@ -184,6 +184,20 @@ _PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    Running out of memory anywhere gives one MemoryExhausted record.  It is
+    written after the except clause, when the traceback, and with it the
+    frames that held the memory, is gone.
+    """
+    try:
+        return _run(argv)
+    except MemoryError:
+        pass
+    return _emit_error(EXIT_IO, "MemoryExhausted", "out of memory")
+
+
+def _run(argv) -> int:
     try:
         args = _PARSER.parse_args(argv)
     except SystemExit as stop:  # from print_help() after --help, or error()

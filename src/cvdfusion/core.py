@@ -10,7 +10,9 @@ vector of n complex entries c_j = x_j + y_j*i with
 ``make_cvd`` / ``make_source_set`` are the validating constructors and the
 only supported way to build these values; everything downstream assumes the
 constraints hold.  All types are immutable after construction and safe to
-share across threads.
+share across threads.  They are plain classes on ``_Frozen``, not dataclasses:
+importing ``dataclasses``, which pulls in ``inspect``, took about a third of
+the CLI's import time.
 
 Validation uses a tolerance ``tol`` (default 1e-9) because file inputs are
 decimal floats: real parts in [-tol, 0) are clamped to exactly 0, moduli may
@@ -24,7 +26,6 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from functools import reduce
 
 from .errors import (
@@ -52,8 +53,57 @@ DEFAULT_TOL = 1e-9
 RawEntry = tuple[float, float]
 
 
-@dataclass(frozen=True)
-class OutcomeSpace:
+# How a _Frozen subclass's __init__ sets a field: object.__setattr__, bound
+# to a module name once, which made building a CvdVector about 15% cheaper
+# than looking it up on each call (Python 3.11).
+_setattr = object.__setattr__
+
+
+class _Frozen:
+    """Base of the package's value types: immutable, equal by their fields.
+
+    Each subclass names its fields, in order, in ``__match_args__`` (which
+    keeps positional ``case`` patterns working) and sets them in its own
+    ``__init__`` through ``_setattr``.  The base gives what
+    ``@dataclass(frozen=True)`` gave: ``==`` and ``hash`` of the tuple of
+    fields, between instances of the same class only; ``repr`` in the
+    dataclass layout; and AttributeError on any assignment or deletion.
+    Instances keep a ``__dict__``, so pickle, copy and weakref need no code.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        get = operator.attrgetter(*cls.__match_args__)
+        if len(cls.__match_args__) > 1:
+            cls._astuple = staticmethod(get)
+        else:  # attrgetter of one name returns the value, not a 1-tuple
+            cls._astuple = staticmethod(lambda self: (get(self),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            astuple = self._astuple
+            return astuple(self) == astuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple(self))
+
+    def __repr__(self):
+        fields = ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(self.__match_args__, self._astuple(self))
+        )
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class OutcomeSpace(_Frozen):
     """Ordered, fixed set of distinct outcome labels.
 
     Entry j of every vector on this space refers to ``labels[j]``; order is
@@ -62,43 +112,46 @@ class OutcomeSpace:
     refused, because its order changes with the hash seed.
     """
 
-    labels: tuple[str, ...]
+    __match_args__ = ("labels",)
 
-    def __post_init__(self):
-        if isinstance(self.labels, str):  # tuple("up") would be ('u', 'p')
+    def __init__(self, labels: Iterable[str]):
+        if isinstance(labels, str):  # tuple("up") would be ('u', 'p')
             raise InvalidOutcomeSpaceError("labels must be a sequence, not a str")
-        if isinstance(self.labels, (set, frozenset)):  # order varies by hash seed
+        if isinstance(labels, (set, frozenset)):  # order varies by hash seed
             raise InvalidOutcomeSpaceError(
                 "labels must be an ordered sequence, not a set"
             )
-        if not isinstance(self.labels, Iterable):
+        if not isinstance(labels, Iterable):
             raise InvalidOutcomeSpaceError("labels must be a sequence of strings")
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if len(self.labels) < 1:
+        labels = tuple(labels)
+        if len(labels) < 1:
             raise InvalidOutcomeSpaceError("outcome space needs at least one label")
-        for j, label in enumerate(self.labels):
+        for j, label in enumerate(labels):
             if not isinstance(label, str) or not label:
                 raise InvalidOutcomeSpaceError(
                     f"label at position {j} must be a non-empty string, got {label!r}"
                 )
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise InvalidOutcomeSpaceError("outcome labels must be pairwise distinct")
+        _setattr(self, "labels", labels)
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class CvdVector:
+class CvdVector(_Frozen):
     """A validated complex-valued distribution over an outcome space.
 
-    Build through :func:`make_cvd`; the dataclass itself does not re-check
+    Build through :func:`make_cvd`; the class itself does not re-check
     the constraints.
     """
 
-    space: OutcomeSpace
-    entries: tuple[complex, ...]
+    __match_args__ = ("space", "entries")
+
+    def __init__(self, space: OutcomeSpace, entries: tuple[complex, ...]):
+        _setattr(self, "space", space)
+        _setattr(self, "entries", entries)
 
     @property
     def n(self) -> int:
@@ -109,12 +162,16 @@ class CvdVector:
         return [(c.real, c.imag) for c in self.entries]
 
 
-@dataclass(frozen=True)
-class SourceSet:
+class SourceSet(_Frozen):
     """Named, ordered collection of CvD vectors sharing one outcome space."""
 
-    space: OutcomeSpace
-    sources: tuple[tuple[str, CvdVector], ...]
+    __match_args__ = ("space", "sources")
+
+    def __init__(
+        self, space: OutcomeSpace, sources: tuple[tuple[str, CvdVector], ...]
+    ):
+        _setattr(self, "space", space)
+        _setattr(self, "sources", sources)
 
     @property
     def names(self) -> tuple[str, ...]:

@@ -20,7 +20,6 @@ digits as it writes the report.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -140,6 +139,8 @@ def _parse_csv_header(header: list[str]) -> OutcomeSpace:
 
 
 def _parse_csv_document(text: str) -> RawDocument:
+    import csv  # here, not at the top: a JSON document never needs it
+
     try:
         rows = [row for row in csv.reader(io.StringIO(text)) if row]
     except csv.Error as err:
@@ -228,6 +229,8 @@ def emit_source_json(s: SourceSet) -> str:
 
 
 def emit_source_csv(s: SourceSet) -> str:
+    import csv
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     header = ["name"]

@@ -16,11 +16,18 @@ fusion outputs are valid vectors without renormalization.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter, mul
 
-from .core import CvdVector, SourceSet, _isfinite, _ordered_sum, _shown
+from .core import (
+    CvdVector,
+    SourceSet,
+    _Frozen,
+    _isfinite,
+    _ordered_sum,
+    _setattr,
+    _shown,
+)
 from .errors import (
     BadMinSizeError,
     InvalidWeightsError,
@@ -56,11 +63,13 @@ EXHAUSTIVE_MAX_SOURCES = 15
 _first = itemgetter(0)
 
 
-@dataclass(frozen=True)
-class CredibilityWeights:
+class CredibilityWeights(_Frozen):
     """Per-source convex weights, aligned with the source-set order."""
 
-    values: tuple[float, ...]
+    __match_args__ = ("values",)
+
+    def __init__(self, values: tuple[float, ...]):
+        _setattr(self, "values", values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -69,13 +78,15 @@ class CredibilityWeights:
         return iter(self.values)
 
 
-@dataclass(frozen=True)
-class SelectionResult:
+class SelectionResult(_Frozen):
     """Outcome of a source-selection search."""
 
-    chosen: tuple[int, ...]
-    achieved_quality: float
-    strategy: str
+    __match_args__ = ("chosen", "achieved_quality", "strategy")
+
+    def __init__(self, chosen: tuple[int, ...], achieved_quality: float, strategy: str):
+        _setattr(self, "chosen", chosen)
+        _setattr(self, "achieved_quality", achieved_quality)
+        _setattr(self, "strategy", strategy)
 
 
 def _weighted_entry_sum(

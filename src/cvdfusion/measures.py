@@ -55,9 +55,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
-from .core import CvdVector, SourceSet, _ordered_sum
+from .core import CvdVector, SourceSet, _Frozen, _ordered_sum, _setattr
 from .errors import SpaceMismatchError
 
 __all__ = [
@@ -204,8 +203,7 @@ def aggregate_quality(s: SourceSet) -> float:
     return subset_quality(gram(s), range(len(s)))
 
 
-@dataclass(frozen=True)
-class PairwiseMatrix:
+class PairwiseMatrix(_Frozen):
     """Symmetric r x r table of a pairwise measure over a source set.
 
     The diagonal is exactly 1.0 for compatibility/cosine and 0.0 for
@@ -213,9 +211,12 @@ class PairwiseMatrix:
     mirrored, so symmetry is bit-exact.
     """
 
-    kind: str
-    size: int
-    values: tuple[tuple[float, ...], ...]
+    __match_args__ = ("kind", "size", "values")
+
+    def __init__(self, kind: str, size: int, values: tuple[tuple[float, ...], ...]):
+        _setattr(self, "kind", kind)
+        _setattr(self, "size", size)
+        _setattr(self, "values", values)
 
 
 # Each kind but conflict as a function of the clamped cosine; its value at 1.0

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cvdfusion.cli
 import cvdfusion.measures
 from cvdfusion.cli import main
 
@@ -775,6 +776,54 @@ class TestOptimizedInterpreter:
             assert proc.stderr == b""
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
+
+
+class TestMemoryExhausted:
+    """Running out of memory is one MemoryExhausted record and exit 2."""
+
+    def test_in_process(self, capsys, monkeypatch, two_source_file):
+        def exhausted(s):
+            raise MemoryError
+
+        monkeypatch.setattr(cvdfusion.cli, "build_measure_report", exhausted)
+        code, out, err = run_cli(capsys, "measure", "--input", two_source_file)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "MemoryExhausted",
+            "message": "out of memory",
+        }
+
+    def test_child_under_an_address_space_limit(self, tmp_path):
+        # 3,000 sources over 2 outcomes: the Gram matrix fits in 400 MB, the
+        # matrices after it do not.  The child lowers only its own limit.
+        resource = pytest.importorskip("resource")
+        limit = 400 * 2**20
+
+        def lower_limit():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        doc = {
+            "space": ["a", "b"],
+            "sources": [
+                {"name": f"s{k}", "values": [[0.5, 0.1], [0.5, -0.1]]}
+                for k in range(3000)
+            ],
+        }
+        path = write(tmp_path, "wide.json", json.dumps(doc))
+        proc = run_child(
+            [sys.executable, "-m", "cvdfusion", "measure", "--input", path],
+            preexec_fn=lower_limit,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert b"Traceback" not in proc.stderr
+        lines = proc.stderr.decode("utf-8").splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "MemoryExhausted",
+            "message": "out of memory",
+        }
 
 
 # --- CLI fuzzing: any input bytes give a report or one JSON error line ---

@@ -199,7 +199,16 @@ class TestJsonSchemaErrors:
             parse_source_file(doc)
 
     @pytest.mark.parametrize(
-        "pair", ["[true, 0]", "[0, false]", '["1", 0]', "[0, null]", "[1, 0, 0]", "{}"]
+        "pair",
+        [
+            "[true, 0]",
+            "[0, false]",
+            '["1", 0]',
+            "[0, null]",
+            "[1, 0, 0]",
+            "{}",
+            '{"a": 1.0, "b": 0.0}',
+        ],
     )
     def test_non_number_pair_message(self, pair):
         doc = f'{{"space": ["a"], "sources": [{{"name": "s", "values": [{pair}]}}]}}'
@@ -261,6 +270,64 @@ class TestCsvSchemaErrors:
         with pytest.raises(SchemaViolationError) as exc:
             parse_source_file(text)
         assert "row 3" in str(exc.value)
+
+
+_ONE_SOURCE = '[{"name": "s", "values": [[1.0, 0.0], [0.0, 0.0]]}]'
+
+
+class TestSchemaMessages:
+    """Each schema check is the one that fires: its code and exact message."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                f'{{"space": ["a", "b"], "sources": {_ONE_SOURCE}, "extra": 1}}',
+                "unknown top-level keys: ['extra']",
+            ),
+            (
+                f'{{"space": "ab", "sources": {_ONE_SOURCE}}}',
+                "'space' must be a non-empty array of labels",
+            ),
+            (
+                '{"space": ["a", "b"], "sources": '
+                '{"name": "s", "values": [[1.0, 0.0], [0.0, 0.0]]}}',
+                "'sources' must be a non-empty array",
+            ),
+            (
+                '{"space": ["a", "b"], "sources": '
+                '[{"name": 5, "values": [[1.0, 0.0], [0.0, 0.0]]}]}',
+                "sources[0].name must be a non-empty string",
+            ),
+            (
+                "name,a_re,a_im,b_re\ns1,1,0,0\n",
+                "CSV header must be: name,<label1>_re,<label1>_im,...",
+            ),
+            (
+                "name,up_x,up_im\ns1,1,0\n",
+                "header must pair <label>_re,<label>_im columns, got 'up_x','up_im'",
+            ),
+            (
+                "name,up_re,up_x\ns1,1,0\n",
+                "header must pair <label>_re,<label>_im columns, got 'up_re','up_x'",
+            ),
+            (
+                "name,up_re,down_im\ns1,1,0\n",
+                "header labels disagree: 'up_re' vs 'down_im'",
+            ),
+            ("name,_re,_im\ns1,1,0\n", "header labels disagree: '_re' vs '_im'"),
+        ],
+    )
+    def test_code_and_message(self, text, message):
+        with pytest.raises(CvdError) as exc:
+            parse_source_file(text)
+        assert exc.value.code == "SchemaViolation"
+        assert exc.value.message == message
+
+    def test_render_refuses_an_unknown_type(self):
+        with pytest.raises(TypeError) as exc:
+            render_report({"x": object()})
+        assert str(exc.value) == "cannot write a object in a report"
 
 
 class TestRoundTrip:

@@ -1,6 +1,8 @@
 """Aggregation, credibility weighting, fusion, and source selection."""
 
+from functools import reduce
 from itertools import combinations
+from operator import add
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from cvdfusion import (
     make_cvd,
     make_source_set,
     mean_aggregate,
+    pairwise_matrix,
     select_sources,
 )
 
@@ -134,6 +137,23 @@ class TestCredibilityWeights:
             w = credibility_weights(s).values
             assert all(v >= 0.0 for v in w)
             assert sum(w) == pytest.approx(1.0, abs=1e-9)
+
+    def test_weights_are_the_mean_support_bit_for_bit(self):
+        # support k is row k of the compatibility matrix without its diagonal,
+        # summed left to right and divided by r - 1; the weights divide each
+        # support by their left-to-right total.  A divisor of r instead of
+        # r - 1 cancels in the normalization except for rounding.
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            s = _set(random_named_raws(rng, 3, 2))
+            rows = pairwise_matrix(s, "compatibility").values
+            supports = [
+                reduce(add, row[:k] + row[k + 1 :], 0.0) / (3 - 1)
+                for k, row in enumerate(rows)
+            ]
+            total = reduce(add, supports, 0.0)
+            expected = tuple(sp / total for sp in supports)
+            assert credibility_weights(s).values == expected
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(13)
@@ -269,6 +289,15 @@ class TestSelectSources:
         assert result.chosen == (0, 1, 2, 3)
         greedy = select_sources(s, "greedy", min_size=4)
         assert tuple(sorted(greedy.chosen)) == (0, 1, 2, 3)
+
+    def test_greedy_grows_past_min_size_while_quality_improves(self):
+        # Rounds after the min_size forced ones still add a source when it
+        # strictly improves quality: here the sixth source does.
+        xs = (0.4096, 0.5581, 0.4231, 0.8646, 0.1766, 0.3296)
+        s = _set([(f"s{k}", [(x, 0.0), (1 - x, 0.0)]) for k, x in enumerate(xs)])
+        result = select_sources(s, "greedy", 5)
+        assert result.chosen == (3, 1, 2, 0, 5, 4)
+        assert result.achieved_quality == aggregate_quality(s.subset(result.chosen))
 
     def test_achieved_quality_matches_subset(self):
         rng = np.random.default_rng(15)
