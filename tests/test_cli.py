@@ -760,6 +760,29 @@ class TestOneGramPerDocument:
         rows_read = len(chosen) if len(chosen) < r else r - 1
         assert sum(products) == r + r * rows_read
 
+    @pytest.mark.parametrize("min_size", [1, 5, 40])
+    def test_greedy_scores_exactly_at_most_two_candidates_per_round(
+        self, capsys, tmp_path, monkeypatch, min_size
+    ):
+        # Each round ranks the remaining candidates by an O(r) approximate
+        # score; subset_quality re-scores only those it cannot rule out.  On
+        # these distinct sources that is the approximate leader, sometimes
+        # with one runner-up; scoring every candidate would take r - round.
+        scored = _record_calls(
+            monkeypatch, cvdfusion.measures.subset_quality, lambda g, indices: indices
+        )
+        r = 40
+        path = write(tmp_path, "wide.json", _sharp_sources_json(r))
+        code, out, _ = run_cli(
+            capsys, "select", "--strategy", "greedy", "--min-size", str(min_size),
+            "--input", path,
+        )
+        assert code == 0
+        chosen = json.loads(out)["selection"]["chosen"]
+        rounds = len(chosen) + 1 if len(chosen) < r else r
+        assert {len(indices) for indices in scored} == set(range(1, rounds + 1))
+        assert len(scored) <= 2 * rounds
+
 
 class TestOptimizedInterpreter:
     @pytest.mark.parametrize(

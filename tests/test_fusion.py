@@ -2,7 +2,7 @@
 
 from functools import reduce
 from itertools import combinations
-from operator import add
+from operator import add, itemgetter
 
 import numpy as np
 import pytest
@@ -24,6 +24,8 @@ from cvdfusion import (
     pairwise_matrix,
     select_sources,
 )
+from cvdfusion import fusion
+from cvdfusion.measures import float_rows, gram, row_products, subset_quality
 
 from oracles import (
     random_named_raws,
@@ -400,3 +402,121 @@ class TestArgumentTypes:
         s = _set([("s1", RAW_A), ("s2", RAW_B), ("s3", RAW_A)])
         expected = select_sources(s, strategy, 2)
         assert select_sources(s, strategy, np.int64(2)) == expected
+
+
+def _every_candidate_greedy(s, min_size):
+    """Greedy selection that scores every remaining candidate with
+    subset_quality in every round: the reference for the filtered greedy."""
+    rows = float_rows(s.vectors)
+    g = [{k: row_products(row, (row,))[0]} for k, row in enumerate(rows)]
+    chosen, quality = (), 0.0
+    remaining = list(range(len(rows)))
+    while remaining:
+        if chosen:
+            g[chosen[-1]] = row_products(rows[chosen[-1]], rows)
+        next_quality, candidate = max(
+            ((subset_quality(g, chosen + (k,)), chosen + (k,)) for k in remaining),
+            key=itemgetter(0),
+        )
+        if len(chosen) >= min_size and not next_quality > quality:
+            break
+        chosen, quality = candidate, next_quality
+        remaining.remove(chosen[-1])
+    return quality, chosen
+
+
+def _approximate_scores(g, chosen, remaining):
+    """Greedy's O(r) score a_k of chosen + (k,) for each k in remaining, with
+    its running sums accumulated in the order greedy chose the sources."""
+    diagonal_sum = cross_sum = 0.0
+    colsum = [0.0] * len(g)
+    for c in chosen:
+        diagonal_sum += g[c][c]
+        cross_sum += colsum[c]
+        colsum = list(map(add, colsum, g[c]))
+    m = len(chosen) + 1
+    return [
+        (diagonal_sum + g[k][k] + 2.0 * (cross_sum + colsum[k])) / (m * m)
+        for k in remaining
+    ]
+
+
+def _near_duplicates(rng, r, n):
+    """r sources drawn from about r/2 distinct ones: each an exact copy, or a
+    copy with 1-3e-16 of mass moved between the real parts of two entries."""
+    distinct = random_named_raws(rng, max(1, r // 2), n)
+    named_raws = []
+    for k in range(r):
+        raw = list(distinct[int(rng.integers(len(distinct)))][1])
+        if n > 1 and rng.integers(3):
+            i, j = (int(x) for x in rng.choice(n, 2, replace=False))
+            shift = float(rng.choice([1e-16, 2e-16, 3e-16, -1e-16, -2e-16, -3e-16]))
+            if raw[i][0] + shift >= 0.0 and raw[j][0] - shift >= 0.0:
+                raw[i] = (raw[i][0] + shift, raw[i][1])
+                raw[j] = (raw[j][0] - shift, raw[j][1])
+        named_raws.append((f"s{k}", raw))
+    return named_raws
+
+
+# A sharp source and three near-duplicates of a flatter one, each an ulp or
+# two of mass apart.  After (0, 2), the approximate scores rank source 1
+# first; subset_quality ranks source 3 first.
+APPROXIMATE_LEADER_IS_WRONG = [
+    ("s0", [(0.9000000000000002, 0.0), (0.09999999999999978, 0.0)]),
+    ("s1", [(0.7999999999999999, 0.0), (0.20000000000000007, 0.0)]),
+    ("s2", [(0.8000000000000002, 0.0), (0.19999999999999984, 0.0)]),
+    ("s3", [(0.7999999999999998, 0.0), (0.20000000000000015, 0.0)]),
+]
+
+
+class TestGreedyFilter:
+    """Greedy ranks each round's candidates by an O(r) approximate score and
+    re-scores exactly only those a rounding bound cannot rule out; it must
+    pick and report exactly what scoring every candidate does."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_picks_and_bits_as_scoring_every_candidate(self, seed):
+        rng = np.random.default_rng([19, seed])
+        for case in range(500):
+            r = max(1, int(61 ** rng.random()))  # r 1-60, log-uniform
+            n = int(rng.integers(1, 17))
+            make = _near_duplicates if case % 2 else random_named_raws
+            s = make_source_set(
+                OutcomeSpace(tuple(f"o{j}" for j in range(n))), make(rng, r, n)
+            )
+            min_size = max(1, int(r ** rng.random()))
+            quality, chosen = _every_candidate_greedy(s, min_size)
+            result = select_sources(s, "greedy", min_size)
+            assert result.chosen == chosen, (seed, case)
+            assert result.achieved_quality.hex() == quality.hex(), (seed, case)
+
+    def test_sixty_near_duplicates_taken_in_full(self):
+        s = _set(_near_duplicates(np.random.default_rng(20), 60, 16),
+                 labels=tuple(f"o{j}" for j in range(16)))
+        quality, chosen = _every_candidate_greedy(s, 60)
+        result = select_sources(s, "greedy", 60)
+        assert (result.chosen, result.achieved_quality.hex()) == (chosen, quality.hex())
+
+    def test_approximate_leader_can_be_wrong(self):
+        s = _set(APPROXIMATE_LEADER_IS_WRONG)
+        g = gram(s)
+        approximate = _approximate_scores(g, (0, 2), (1, 3))
+        exact = [subset_quality(g, (0, 2, k)) for k in (1, 3)]
+        assert approximate[0] > approximate[1]
+        assert exact[1] > exact[0]
+        result = select_sources(s, "greedy", 4)
+        quality, chosen = _every_candidate_greedy(s, 4)
+        assert result.chosen == chosen == (0, 2, 3, 1)
+        assert result.achieved_quality.hex() == quality.hex()
+
+    def test_zero_margin_keeps_only_the_approximate_leader_and_its_ties(
+        self, monkeypatch
+    ):
+        # Without the rounding margin the filter keeps the approximate
+        # leader (and any exact tie with it, such as a duplicate), so greedy
+        # follows the wrong leader above: the margin is what finds source 3.
+        monkeypatch.setattr(fusion, "_KEEP_MARGIN", 0.0)
+        result = select_sources(_set(APPROXIMATE_LEADER_IS_WRONG), "greedy", 4)
+        assert result.chosen == (0, 2, 1, 3)
+        duplicates = _set([("s0", RAW_B), ("s1", RAW_A), ("s2", RAW_A)])
+        assert select_sources(duplicates, "greedy", 2).chosen == (1, 2)

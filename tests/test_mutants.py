@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "mutants.py"
 
@@ -88,8 +90,8 @@ def test_run_reports_only_the_new_survivor(tmp_path):
     listed = tmp_path / "equivalent.txt"
     listed.write_text(
         "# fixture\n"
-        "src/fixmod.py:8:17:int-1 n // 2 equals n // 3 at the one tested n\n"
-        "src/fixmod.py:99:1:raise->pass a line the module does not have\n",
+        "src/fixmod.py:8:17:int-1 | return n // (2) | n // 2 equals n // 3 at the one tested n\n"
+        "src/fixmod.py:99:1:raise->pass | if x: pass | a line the module does not have\n",
         encoding="utf-8",
     )
     # The fixture needs no pytest plugin; without them each run starts in
@@ -107,3 +109,40 @@ def test_run_reports_only_the_new_survivor(tmp_path):
     assert summary.startswith("mutants 4: killed 2, survived 1, equivalent 1; wall ")
     assert proc.stderr == "stale equivalent mutant: src/fixmod.py:99:1:raise->pass\n"
     assert path.read_text(encoding="utf-8") == MODULE
+
+
+def test_entries_are_keyed_by_the_mutated_line(tmp_path):
+    # The same line twice: an entry matches by file, operator and mutated
+    # line, and its line and column only pick the nearest of equal lines.
+    (tmp_path / "src").mkdir()
+    path = tmp_path / "src" / "twice.py"
+    path.write_text(
+        "def f(n):\n    return n // 3\n\n\ndef g(n):\n    return n // 3\n",
+        encoding="utf-8",
+    )
+    tool = _tool()
+    found = tool.mutants(tmp_path, path)
+    listed = tmp_path / "equivalent.txt"
+    listed.write_text(
+        "src/twice.py:9:13:int-1 | return n // (2) | moved from line 6\n"
+        "src/twice.py:2:17:int-1 | return n // (2) | line 2, as listed\n"
+        "src/twice.py:2:17:int+1 | return n // (5) | no such mutant\n"
+        "src/other.py:1:1:int-1 | x = (0) | another file, not reported\n",
+        encoding="utf-8",
+    )
+    entries = tool.read_equivalent(listed)
+    assert entries[0] == ("src/twice.py:9:13:int-1", "return n // (2)", "moved from line 6")
+    assert tool.match_equivalent(entries, found) == (
+        {
+            "src/twice.py:9:13:int-1": "src/twice.py:6:17:int-1",
+            "src/twice.py:2:17:int-1": "src/twice.py:2:17:int-1",
+        },
+        ["src/twice.py:2:17:int+1"],
+    )
+
+
+def test_an_entry_needs_a_line_and_a_reason(tmp_path):
+    listed = tmp_path / "equivalent.txt"
+    listed.write_text("src/fixmod.py:8:17:int-1 n // 2 equals n // 3\n", encoding="utf-8")
+    with pytest.raises(SystemExit, match="equivalent.txt:1: expected"):
+        _tool().read_equivalent(listed)

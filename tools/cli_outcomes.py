@@ -11,8 +11,10 @@ runs ``cvdfusion.cli.main`` in-process, imported from ``--src``, on
   branch of the report writer runs: duplicated sources (off-diagonal 1.0
   and 0.0), near-identical sources (conflict near 1e-13, an exponent
   form), disjoint supports (compatibility 0.0), one source over one
-  outcome, names with non-ASCII characters, quotes and backslashes, and
-  ``fuse --weights``, and
+  outcome, names with non-ASCII characters, quotes and backslashes,
+  ``fuse --weights``, and near-duplicate sources an ulp or two of mass
+  apart, through greedy and exhaustive ``select`` at several
+  ``--min-size`` values, and
 - a fixed list of help, usage and I/O argv cases.
 
 It prints one JSON line per run (argv, exit code, stdout length and sha256,
@@ -47,6 +49,9 @@ PAIR_JSON = (
     '             {"name": "s2", "values": [[0.6, -0.2], [0.4, 0.2]]}]}'
 )
 
+_COMPLEX_A = [[0.5, 0.1], [0.3, -0.05], [0.2, -0.05]]
+_COMPLEX_B = [[0.45, 0.05], [0.35, 0.0], [0.2, -0.05]]
+
 EDGE_DOCS = {
     "duplicated": {
         "space": ["up", "down"],
@@ -71,6 +76,30 @@ EDGE_DOCS = {
         ],
     },
     "single": {"space": ["only"], "sources": [{"name": "s", "values": [[1.0, 0.0]]}]},
+    # A sharp source and three near-duplicates, an ulp or two of mass apart:
+    # after (0, 2), greedy's O(r) scores rank s1 first, the exact ones s3.
+    "near-duplicates": {
+        "space": ["up", "down"],
+        "sources": [
+            {"name": "s0", "values": [[0.9000000000000002, 0.0], [0.09999999999999978, 0.0]]},
+            {"name": "s1", "values": [[0.7999999999999999, 0.0], [0.20000000000000007, 0.0]]},
+            {"name": "s2", "values": [[0.8000000000000002, 0.0], [0.19999999999999984, 0.0]]},
+            {"name": "s3", "values": [[0.7999999999999998, 0.0], [0.20000000000000015, 0.0]]},
+        ],
+    },
+    # Exact and near copies of two complex sources, 1-3e-16 of mass moved
+    # between the real parts of the first two entries.
+    "near-duplicates-complex": {
+        "space": ["a", "b", "c"],
+        "sources": [
+            {"name": f"s{k}", "values": [[re + shift, im], [re2 - shift, im2], rest]}
+            for k, ([[re, im], [re2, im2], rest], shift) in enumerate([
+                (_COMPLEX_A, 0.0), (_COMPLEX_A, 1e-16), (_COMPLEX_B, 0.0),
+                (_COMPLEX_A, -2e-16), (_COMPLEX_B, 3e-16), (_COMPLEX_A, 0.0),
+                (_COMPLEX_B, -1e-16), (_COMPLEX_B, 2e-16),
+            ])
+        ],
+    },
     "names": {
         "space": ["caf\u00e9", 'say "hi"', "back\\slash"],
         "sources": [
@@ -79,6 +108,21 @@ EDGE_DOCS = {
             {"name": "C:\\dir\\s", "values": [[0.4, 0], [0.4, 0], [0.2, 0]]},
         ],
     },
+}
+
+# More select runs on the near-duplicate documents, greedy and exhaustive.
+EDGE_SELECTS = {
+    "near-duplicates": (
+        ["--min-size", "4"],
+        ["--strategy", "exhaustive", "--min-size", "2"],
+        ["--strategy", "exhaustive", "--min-size", "3"],
+    ),
+    "near-duplicates-complex": (
+        ["--min-size", "3"],
+        ["--min-size", "8"],
+        ["--strategy", "exhaustive", "--min-size", "2"],
+        ["--strategy", "exhaustive", "--min-size", "5"],
+    ),
 }
 
 
@@ -93,6 +137,9 @@ def edge_cases() -> list[tuple[str, list[str]]]:
         if name == "duplicated":
             argv = ["fuse", "--input", str(path), "--weights", "0.25,0.5,0.25"]
             cases.append((f"edge-{name}-fuse-weights", argv))
+        for options in EDGE_SELECTS.get(name, ()):
+            cases.append((f"edge-{name}-select {' '.join(options)}",
+                          ["select", "--input", str(path), *options]))
     return cases
 
 

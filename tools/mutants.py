@@ -23,12 +23,17 @@ TIMEOUT_S (a mutant can loop forever), and survives when it passes.  One unmutat
 if it fails, the tool stops with exit status 2.
 
 ``--equivalent`` names a list of mutants that no test can kill because they
-do not change behaviour, one ``<id> <reason>`` per line (``#`` starts a
-comment line).  Those mutants are not run.  The tool prints each new
-survivor with its mutated line, then one summary line with the killed,
-survived and equivalent counts and the wall time, and exits 1 if any new
-survivor is left.  A listed id of one of the given files that matches no
-mutant is reported on stderr as stale.
+do not change behaviour, one ``<id> | <mutated line> | <reason>`` per line
+(``#`` starts a comment line), the id and the mutated line as the tool
+prints them for a survivor.  An entry is keyed by its file, its operator
+and its mutated line's text; the id's line and column are only a hint,
+which picks the nearest of several mutants with that text.  So an edit
+elsewhere in the file does not unlist a mutant; the tool notes on stderr
+each entry whose mutant has moved, and reports an entry that matches no
+mutant of the given files as stale.  Listed mutants are not run.  The tool
+prints each new survivor with its mutated line, then one summary line with
+the killed, survived and equivalent counts and the wall time, and exits 1
+if any new survivor is left.
 """
 
 from __future__ import annotations
@@ -166,21 +171,56 @@ def mutants(root: Path, path: Path) -> list[tuple[str, str, str]]:
     return found
 
 
-def _file_of(mutant_id: str) -> str:
-    return mutant_id.rsplit(":", 3)[0]
+def _parts(mutant_id: str) -> tuple[str, int, int, str]:
+    """(file, line, column, operator) of an id."""
+    path, line, column, operator = mutant_id.rsplit(":", 3)
+    return path, int(line), int(column), operator
 
 
-def read_equivalent(path: Path) -> dict[str, str]:
-    """{id: reason} from a list of equivalent mutants."""
-    listed = {}
+def read_equivalent(path: Path) -> list[tuple[str, str, str]]:
+    """(id, mutated line, reason) per entry of a list of equivalent mutants."""
+    listed = []
     for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
-        mutant_id, _, reason = line.strip().partition(" ")
-        if not reason.strip():
-            raise SystemExit(f"{path}:{number}: {mutant_id} needs a one-line reason")
-        listed[mutant_id] = reason.strip()
+        mutant_id, _, rest = line.strip().partition(" | ")
+        text, _, reason = rest.rpartition(" | ")
+        if not (text.strip() and reason.strip()):
+            raise SystemExit(
+                f"{path}:{number}: expected <id> | <mutated line> | <reason>"
+            )
+        listed.append((mutant_id, text.strip(), reason.strip()))
     return listed
+
+
+def match_equivalent(
+    listed: list[tuple[str, str, str]], found: list[tuple[str, str, str]]
+) -> tuple[dict[str, str], list[str]]:
+    """({listed id: id of its mutant now}, [listed ids that match none]).
+
+    A listed entry matches the mutants of its file and operator whose
+    mutated line has its text; of several, the nearest to its line and
+    column, each mutant matched once.  Only entries for the files of found
+    are matched or reported.
+    """
+    keys = {mutant_id: (_parts(mutant_id), mutated) for mutant_id, _, mutated in found}
+    files = {path for (path, _, _, _), _ in keys.values()}
+    matched, stale = {}, []
+    for listed_id, text, _ in listed:
+        path, line, column, operator = _parts(listed_id)
+        if path not in files:
+            continue
+        same = [
+            (abs(parts[1] - line), abs(parts[2] - column), mutant_id)
+            for mutant_id, (parts, mutated) in keys.items()
+            if (parts[0], parts[3], mutated) == (path, operator, text)
+            and mutant_id not in matched.values()
+        ]
+        if same:
+            matched[listed_id] = min(same)[2]
+        else:
+            stale.append(listed_id)
+    return matched, stale
 
 
 def run_tests(root: Path, rel: str | None, text: str | None) -> bool:
@@ -226,21 +266,23 @@ def main(argv: list[str] | None = None) -> int:
     root = args.root.resolve()
     files = [path if path.is_absolute() else root / path for path in args.files]
     everything = [mutant for path in files for mutant in mutants(root, path)]
-    listed = read_equivalent(args.equivalent) if args.equivalent.exists() else {}
-    ids = {mutant_id for mutant_id, _, _ in everything}
-    targets = {path.resolve().relative_to(root).as_posix() for path in files}
-    for mutant_id in sorted(listed):
-        if _file_of(mutant_id) in targets and mutant_id not in ids:
-            print(f"stale equivalent mutant: {mutant_id}", file=sys.stderr)
+    listed = read_equivalent(args.equivalent) if args.equivalent.exists() else []
+    matched, stale = match_equivalent(listed, everything)
+    for old, new in matched.items():
+        if old != new:
+            print(f"equivalent mutant moved: {old} -> {new}", file=sys.stderr)
+    for mutant_id in stale:
+        print(f"stale equivalent mutant: {mutant_id}", file=sys.stderr)
+    equivalent = set(matched.values())
 
     started = time.perf_counter()
     if not run_tests(root, None, None):
         print("the unmutated tests fail; no mutant was run", file=sys.stderr)
         return 2
-    to_run = [m for m in everything if m[0] not in listed]
+    to_run = [m for m in everything if m[0] not in equivalent]
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         passed = list(
-            pool.map(lambda m: run_tests(root, _file_of(m[0]), m[1]), to_run)
+            pool.map(lambda m: run_tests(root, _parts(m[0])[0], m[1]), to_run)
         )
     survivors = [m for m, ok in zip(to_run, passed) if ok]
     for mutant_id, _, line in survivors:
