@@ -14,11 +14,11 @@ share across threads.  They are plain classes on ``_Frozen``, not dataclasses:
 importing ``dataclasses``, which pulls in ``inspect``, took about a third of
 the CLI's import time.
 
-Validation uses a tolerance ``tol`` (default 1e-9) because file inputs are
-decimal floats: real parts in [-tol, 0) are clamped to exactly 0, moduli may
-exceed 1 by at most tol, and the entry sum may deviate from 1 + 0i by at
-most tol per component.  Entries are otherwise stored exactly as given;
-nothing is ever renormalized silently.
+Validation uses a tolerance ``tol`` (default 1e-9, at most MAX_TOL = 0.5)
+because file inputs are decimal floats: real parts in [-tol, 0) are clamped
+to exactly 0, moduli may exceed 1 by at most tol, and the entry sum may
+deviate from 1 + 0i by at most tol per component.  Entries are otherwise
+stored exactly as given; nothing is ever renormalized silently.
 """
 
 from __future__ import annotations
@@ -49,6 +49,11 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+
+# The largest tolerance accepted.  An accepted vector's norm is at least
+# (1 - tol)/sqrt(n) by Cauchy-Schwarz, so from tol = 1 on an all-zero
+# vector would pass; at most 0.5 keeps every norm at least half of 1/sqrt(n).
+MAX_TOL = 0.5
 
 RawEntry = tuple[float, float]
 
@@ -223,6 +228,8 @@ def _shown(x) -> str:
 def _check_tol(tol: float) -> None:
     if not (_isfinite(tol) and tol > 0.0):
         raise CvdError(f"tolerance must be finite and positive, got {_shown(tol)}")
+    if tol > MAX_TOL:
+        raise CvdError(f"tolerance must be at most {MAX_TOL!r}, got {_shown(tol)}")
 
 
 def make_cvd(
@@ -240,9 +247,9 @@ def make_cvd(
 
     Raises LengthMismatchError, NonFiniteError, NegativeRealPartError,
     ModulusExceedsOneError or SumNotUnityError accordingly, and CvdError if
-    tol is not a finite positive number, ``raw`` has no length (None, a
-    number, a generator), or an entry is not a (re, im) pair of real numbers
-    (numeric strings such as "0.5" count as real numbers).
+    tol is not a finite positive number at most MAX_TOL, ``raw`` has no
+    length (None, a number, a generator), or an entry is not a (re, im) pair
+    of real numbers (numeric strings such as "0.5" count as real numbers).
     The sums follow _ordered_sum's rule, accumulated inside the entry loop.
     """
     _check_tol(tol)
@@ -301,11 +308,11 @@ def _validate_each(space: OutcomeSpace, named_raws: Sequence, tol: float):
     """The one validation route behind make_source_set and the validate report.
 
     Raises CvdError for an empty list, a ``named_raws`` without a length
-    (None, a generator) or a tol that is not finite and positive, before
-    anything is yielded.  Then yields (name, CvdVector or CvdError) per
-    source, in input order: a repeated name gives a DuplicateNameError
-    without ``source``; any other error is make_cvd's, with ``source`` set
-    to the name.  An item that is not a (name, values) pair, or a name that
+    (None, a generator) or a tol that is not finite, positive and at most
+    MAX_TOL, before anything is yielded.  Then yields (name, CvdVector or
+    CvdError) per source, in input order: a repeated name gives a
+    DuplicateNameError without ``source``; any other error is make_cvd's,
+    with ``source`` set to the name.  An item that is not a (name, values) pair, or a name that
     is not a non-empty str, raises CvdError naming the item's index when the
     loop reaches it: the emitters could not write such a name back.
     """

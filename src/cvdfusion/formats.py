@@ -335,8 +335,8 @@ def build_validate_report(
     The verdicts come from core._validate_each, the route make_source_set
     takes, so 'valid' is true exactly when make_source_set succeeds and the
     first invalid verdict carries its error.  Like make_source_set, this
-    raises CvdError for an empty source list or a tol that is not finite
-    and positive.
+    raises CvdError for an empty source list or a tol that is not finite,
+    positive and at most MAX_TOL.
     """
     verdicts = []
     for name, outcome in _validate_each(space, named_raws, tol):

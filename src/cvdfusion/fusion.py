@@ -7,10 +7,9 @@ sources' average pairwise compatibility (the only inter-source signal the
 measures define), normalized to sum to 1, with a uniform fallback when all
 sources are mutually orthogonal.  Selection searches for the subset of
 sources whose aggregate quality is highest, either exhaustively or greedily.
-Each greedy round first ranks every candidate by an O(r) approximate score
-from running sums, then re-scores exactly only the candidates that a
-rounding bound cannot rule out, so it makes the same picks, with the same
-bits, as scoring every candidate exactly.
+Each greedy round scores every candidate in O(r) from running sums over the
+chosen sources; subset_quality sums source by source in the same order, so
+these scores are subset_quality's bits, not an estimate of them.
 
 Convex combinations preserve all CvD constraints (nonnegative real parts,
 moduli bounded by 1 via the triangle inequality, complex sum 1 + 0i), so
@@ -19,10 +18,8 @@ fusion outputs are valid vectors without renormalization.
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Iterable, Sequence
 from itertools import combinations
-from math import sqrt
 from operator import add, itemgetter, mul
 
 from .core import (
@@ -65,17 +62,6 @@ WEIGHT_SUM_TOL = 1e-9
 # and about 23 ms at min_size 7, for n = 8 and n = 64 alike (Python 3.11,
 # 2-vCPU Xeon virtual machine).
 EXHAUSTIVE_MAX_SOURCES = 15
-
-# Greedy's filter margin, per unit of T, the square of the sum of the
-# candidate set's norms sqrt(G[i][i]).  The approximate score a_k and
-# subset_quality of the same m sources are two float evaluations of one sum
-# of N <= m(m+1)/2 + 3 <= 4 m^2 terms, divided by m^2.  Each is within
-# gamma_N T / m^2 <= 2 eps T of its exact value (Higham, "The Accuracy of
-# Floating Point Summation", 1993), since by Cauchy-Schwarz T bounds the
-# sum of the terms' magnitudes.  So |a_k - q_k| <= e = 4 eps T, doubled for
-# safety to 8 eps T; a candidate is dropped only when a_k < max(a) - 2e,
-# and then q_k is strictly below the leader's.
-_KEEP_MARGIN = 16.0 * sys.float_info.epsilon
 
 _first = itemgetter(0)
 
@@ -192,57 +178,41 @@ def _best(
 
 
 def _select_greedy(s: SourceSet, min_size: int) -> tuple[float, tuple[int, ...]]:
-    """Greedy selection: an O(r) filter per round, then exact re-scoring.
+    """Greedy selection, each round scored in O(r) from running sums.
 
-    A round gives every remaining source k the approximate score
-    a_k = (D + G[k][k] + 2 (X + colsum[k])) / m^2 of chosen + (k,), from
-    running sums over the chosen sources: D of their diagonal, X of their
-    cross terms and colsum[k] of G[c][k].  With the running sum of their
-    norms, T = (chosen norms + the largest norm)^2 bounds the terms of every
-    candidate's sum.  Only the candidates with a_k >= max(a) -
-    _KEEP_MARGIN * T go on to _best, the one exact scorer, in ascending
-    index order; every other one scores strictly below the approximate
-    leader.  So the picks, the reported bits, the tie-breaking and the
-    stopping rule are those of scoring every candidate with subset_quality.
+    Over the chosen sources, in the order they were chosen, D sums their
+    diagonal entries, X sums each one's column sum over the sources chosen
+    before it, and colsum[k] sums G[c][k].  subset_quality(g, chosen + (k,))
+    adds the same terms in the same order, so (D + G[k][k] + 2 (X +
+    colsum[k])) / m^2 is its value bit for bit.  max keeps the first of
+    equal scores, and remaining stays in ascending order, so ties go to the
+    lowest index.
     """
     rows = float_rows(s.vectors)
     diagonal = [row_products(row, (row,))[0] for row in rows]
-    # subset_quality(g, chosen + (k,)) reads only G[k][k] and the rows of
-    # the chosen sources: start from the diagonal, and compute the Gram row
-    # of each chosen source before the first round that reads it.
-    g: list[dict[int, float] | list[float]] = [
-        {k: d} for k, d in enumerate(diagonal)
-    ]
-    norms = list(map(sqrt, diagonal))
-    widest = max(norms)
     colsum = [0.0] * len(rows)
-    diagonal_sum = cross_sum = norm_sum = 0.0
+    diagonal_sum = cross_sum = 0.0
     chosen, quality = (), 0.0
     remaining = list(range(len(rows)))
     while remaining:
         if chosen:
+            # A chosen source's Gram row, first read by the round after it.
             c = chosen[-1]
-            g[c] = row_products(rows[c], rows)
             diagonal_sum += diagonal[c]
             cross_sum += colsum[c]
-            norm_sum += norms[c]
-            colsum = list(map(add, colsum, g[c]))
+            colsum = list(map(add, colsum, row_products(rows[c], rows)))
         m = len(chosen) + 1
-        approx = [
+        scores = [
             (diagonal_sum + diagonal[k] + 2.0 * (cross_sum + colsum[k])) / (m * m)
             for k in remaining
         ]
-        bound = norm_sum + widest
-        cutoff = max(approx) - _KEEP_MARGIN * (bound * bound)
-        next_quality, candidate = _best(
-            g, [chosen + (k,) for k, a in zip(remaining, approx) if a >= cutoff]
-        )
+        next_quality = max(scores)
         # Below min_size additions are forced; past it, only strict
         # improvements, so the last set is the best one of size >= min_size.
         if len(chosen) >= min_size and not next_quality > quality:
             break
-        chosen, quality = candidate, next_quality
-        remaining.remove(chosen[-1])
+        chosen += (remaining.pop(scores.index(next_quality)),)
+        quality = next_quality
     return quality, chosen
 
 

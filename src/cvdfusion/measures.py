@@ -27,8 +27,10 @@ adds, and gets the same bits because p*u + q*v is symmetric bit for bit.
 source).  Cosine and compatibility are each defined once, as a function of
 the clamped cosine (``_OF_COSINE``).  Conflict is not an entry of that
 table: it is 1 - compatibility, defined once by ``conflict_matrix`` over a
-finished compatibility matrix.  Subset qualities sum G in the order the
-subset lists its sources (``subset_quality``).
+finished compatibility matrix.  Subset qualities sum G source by source,
+in the order the subset lists its sources (``subset_quality``): each
+source adds its diagonal entry and its column sum over the sources before
+it, which is the order of greedy selection's running sums.
 
 The scalar measures are the two-source case of the same route:
 cosine_angle and compatibility are the off-diagonal entry of the kind's
@@ -176,29 +178,36 @@ def gram(s: SourceSet) -> list[list[float]]:
 
 
 def subset_quality(g: Sequence[Sequence[float]], indices: Sequence[int]) -> float:
-    """(1/m^2) [sum_k G[k][k] + 2 sum_{k before h} G[k][h]] over m indices.
+    """(1/m^2) [sum_k G[k][k] + 2 sum_{a before k} G[a][k]] over m indices.
 
-    Sums run left to right in the order of ``indices``, in explicit loops
-    that follow core._ordered_sum's rule: this is the hot selection kernel.
+    Source by source, in the order of ``indices``: each source k adds
+    G[k][k] to the diagonal sum, and its column sum over the sources a
+    before it (from 0.0, in order, read from the rows of those sources) to
+    the cross sum as one term.  So greedy selection, which keeps exactly
+    these running sums, gets the same bits in O(r) per round.  The loops
+    are explicit and follow core._ordered_sum's rule: this is the hot
+    selection kernel.
     """
-    m = len(indices)
-    quality_sum = 0.0
+    diagonal_sum = cross_sum = 0.0
+    rows = []  # the rows of the sources before k
     for k in indices:
-        quality_sum += g[k][k]
-    cross_sum = 0.0
-    for a in range(m):
-        row = g[indices[a]]
-        for b in range(a + 1, m):
-            cross_sum += row[indices[b]]
-    return (quality_sum + 2.0 * cross_sum) / (m * m)
+        column_sum = 0.0
+        for row in rows:
+            column_sum += row[k]
+        diagonal_sum += g[k][k]
+        cross_sum += column_sum
+        rows.append(g[k])
+    m = len(indices)
+    return (diagonal_sum + 2.0 * cross_sum) / (m * m)
 
 
 def aggregate_quality(s: SourceSet) -> float:
     """Quality of the unweighted combination of the r sources.
 
     subset_quality(gram(s), range(r)): (1/r^2) [ sum_k ||C_k||^2 +
-    2 sum_{k<h} Re<C_k, C_h> ], summed in ascending k then ascending h.
-    Equals information_quality(mean_aggregate(s)) up to rounding.
+    2 sum_{h<k} Re<C_h, C_k> ], summed source by source in ascending k,
+    each column sum in ascending h.  Equals
+    information_quality(mean_aggregate(s)) up to rounding.
     """
     return subset_quality(gram(s), range(len(s)))
 

@@ -384,6 +384,34 @@ class TestExitCodes:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "first, tol",
+        [
+            # Accepted with these tols, the all-zero or 1e-16 source would
+            # have a norm below measures' floor.
+            ("[[0, 0], [0, 0]]", "10"),
+            ("[[1e-16, 0], [0, 0]]", "0.9999999999999999"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "measure", "fuse", "select"])
+    def test_tol_above_the_cap_is_usage_error(
+        self, capsys, tmp_path, first, tol, command
+    ):
+        doc = (
+            '{"space": ["a", "b"], "sources": ['
+            f'{{"name": "s1", "values": {first}}}, '
+            '{"name": "s2", "values": [[0.5, 0], [0.5, 0]]}]}'
+        )
+        path = write(tmp_path, "zero.json", doc)
+        code, out, err = run_cli(capsys, command, "--input", path, "--tol", tol)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "Usage",
+            "message": f"argument --tol: tolerance must be at most 0.5, got {float(tol)!r}",
+        }
+
     @pytest.mark.parametrize("digits", [309, 5000])
     def test_long_json_integer_is_non_finite(self, capsys, tmp_path, digits):
         # 309-4300 digits overflowed float(); more hit int()'s digit limit.
@@ -761,27 +789,22 @@ class TestOneGramPerDocument:
         assert sum(products) == r + r * rows_read
 
     @pytest.mark.parametrize("min_size", [1, 5, 40])
-    def test_greedy_scores_exactly_at_most_two_candidates_per_round(
+    def test_greedy_never_calls_subset_quality(
         self, capsys, tmp_path, monkeypatch, min_size
     ):
-        # Each round ranks the remaining candidates by an O(r) approximate
-        # score; subset_quality re-scores only those it cannot rule out.  On
-        # these distinct sources that is the approximate leader, sometimes
-        # with one runner-up; scoring every candidate would take r - round.
+        # Greedy's running sums are subset_quality's bits, so it scores
+        # every candidate of every round without calling it.
         scored = _record_calls(
             monkeypatch, cvdfusion.measures.subset_quality, lambda g, indices: indices
         )
-        r = 40
-        path = write(tmp_path, "wide.json", _sharp_sources_json(r))
+        path = write(tmp_path, "wide.json", _sharp_sources_json(40))
         code, out, _ = run_cli(
             capsys, "select", "--strategy", "greedy", "--min-size", str(min_size),
             "--input", path,
         )
         assert code == 0
-        chosen = json.loads(out)["selection"]["chosen"]
-        rounds = len(chosen) + 1 if len(chosen) < r else r
-        assert {len(indices) for indices in scored} == set(range(1, rounds + 1))
-        assert len(scored) <= 2 * rounds
+        assert len(json.loads(out)["selection"]["chosen"]) >= min_size
+        assert scored == []
 
 
 class TestOptimizedInterpreter:

@@ -19,6 +19,7 @@ from cvdfusion import (
     make_cvd,
     make_source_set,
 )
+from cvdfusion.core import MAX_TOL
 
 from oracles import random_raw
 
@@ -137,6 +138,20 @@ class TestMakeCvd:
             make_cvd(SPACE2, [(5.0, 3.0), (7.0, 0.0)], tol=tol)
         with pytest.raises(CvdError) as info:
             make_source_set(SPACE2, [("s", [(0.0, 0.0), (0.0, 0.0)])], tol=tol)
+        assert info.value.source is None
+
+    def test_tol_at_most_max_tol(self):
+        # From tol = 1 on an all-zero vector would pass every check.
+        assert MAX_TOL == 0.5
+        make_cvd(SPACE2, [(0.5, 0.0), (0.5, 0.0)], tol=MAX_TOL)
+        for tol in (math.nextafter(MAX_TOL, 1.0), 10.0, 10**20):
+            with pytest.raises(CvdError) as info:
+                make_cvd(SPACE2, [(0.5, 0.0), (0.5, 0.0)], tol=tol)
+            assert type(info.value) is CvdError
+            assert info.value.message == f"tolerance must be at most 0.5, got {tol!r}"
+        with pytest.raises(CvdError) as info:
+            make_source_set(SPACE2, [("s", [(0.0, 0.0), (0.0, 0.0)])], tol=10.0)
+        assert info.value.message == "tolerance must be at most 0.5, got 10.0"
         assert info.value.source is None
 
     def test_tol_past_the_float_range(self):

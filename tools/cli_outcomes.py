@@ -77,7 +77,8 @@ EDGE_DOCS = {
     },
     "single": {"space": ["only"], "sources": [{"name": "s", "values": [[1.0, 0.0]]}]},
     # A sharp source and three near-duplicates, an ulp or two of mass apart:
-    # after (0, 2), greedy's O(r) scores rank s1 first, the exact ones s3.
+    # after (0, 2), s1 and s3 score within an ulp of each other, so the order
+    # in which subset qualities are summed decides which comes next.
     "near-duplicates": {
         "space": ["up", "down"],
         "sources": [
