@@ -3,7 +3,8 @@
 Reports go to stdout as JSON (single line unless --pretty); errors go to
 stderr as single-line JSON records.  Exit codes: 0 success, 1 validation
 or domain error, 2 I/O error (the input could not be read or the report
-could not be written) or memory exhausted, 3 usage error.
+could not be written) or memory exhausted, 3 usage error, 130 interrupted
+(Ctrl-C, SIGINT).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_IO = 2  # also MemoryExhausted
 EXIT_USAGE = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a Ctrl-C
 
 
 def _write(stream, text: str, end: str) -> OSError | None:
@@ -186,15 +188,19 @@ _PARSER = _build_parser()
 def main(argv=None) -> int:
     """Run one command and return its exit code.
 
-    Running out of memory anywhere gives one MemoryExhausted record.  It is
-    written after the except clause, when the traceback, and with it the
-    frames that held the memory, is gone.
+    Running out of memory anywhere gives one MemoryExhausted record, and an
+    interruption (Ctrl-C) one Interrupted record with EXIT_INTERRUPTED; the
+    code is returned, not the signal re-raised, so that callers in the same
+    process carry on.  The record is written after the except clause, when
+    the traceback, and with it the frames that held the memory, is gone.
     """
     try:
         return _run(argv)
     except MemoryError:
-        pass
-    return _emit_error(EXIT_IO, "MemoryExhausted", "out of memory")
+        code, error, message = EXIT_IO, "MemoryExhausted", "out of memory"
+    except KeyboardInterrupt:
+        code, error, message = EXIT_INTERRUPTED, "Interrupted", "interrupted"
+    return _emit_error(code, error, message)
 
 
 def _run(argv) -> int:

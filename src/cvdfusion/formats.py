@@ -41,6 +41,7 @@ from .measures import (
     information_quality,
     matrix_from_gram,
     subset_quality,
+    symmetric_rows,
 )
 
 __all__ = [
@@ -278,15 +279,10 @@ def _num(x: float) -> str:
 def _matrix_texts(m: PairwiseMatrix) -> list[list[str]]:
     """The rows of m as number texts, each unordered pair formatted once.
 
-    The whole diagonal is one value (see PairwiseMatrix), formatted once.
+    Only the upper triangle is read and mirrored: the writer assumes that
+    m is symmetric, as every PairwiseMatrix the measures build is.
     """
-    diagonal = _num(m.values[0][0])
-    upper = [
-        [""] * k + [diagonal] + [_num(x) for x in row[k + 1 :]]
-        for k, row in enumerate(m.values)
-    ]
-    lower = list(zip(*upper))  # lower[k][h] == upper[h][k], the mirror
-    return [[*lower[k][:k], *upper[k][k:]] for k in range(m.size)]
+    return symmetric_rows([_num(x) for x in row[k:]] for k, row in enumerate(m.values))
 
 
 def _join(items: list[str], brackets: str, pretty: bool, level: int) -> str:

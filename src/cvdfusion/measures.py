@@ -20,9 +20,11 @@ parts (``float_rows``), and every product Re<a,b> is the explicit loop
 
 On a source set that gives the real Gram matrix G[k][h] = Re<C_k, C_h>:
 ``gram`` builds all of it with one row_products call per row, each
-unordered pair (k <= h) once and mirrored exactly; greedy selection reads
-Gram rows on demand instead, the diagonal plus the row of each source it
-adds, and gets the same bits because p*u + q*v is symmetric bit for bit.
+unordered pair (k <= h) once, and ``symmetric_rows`` mirrors it exactly
+(the pairwise matrices and the report writer use the same mirror); greedy
+selection reads Gram rows on demand instead, the diagonal plus the row of
+each source it adds, and gets the same bits because p*u + q*v is
+symmetric bit for bit.
 ``matrix_from_gram`` turns G into any pairwise matrix (one square root per
 source).  Cosine and compatibility are each defined once, as a function of
 the clamped cosine (``_OF_COSINE``).  Conflict is not an entry of that
@@ -40,7 +42,8 @@ matching matrix entry of a report cannot disagree.  Re<a,b> is also the
 Hermitian-symmetric average (<a,b> + <b,a>) / 2, so the cosine needs no
 complex arithmetic.
 
-Valid vectors have norm >= 1/sqrt(n) > 0, so the divisions cannot
+A vector validated with tolerance tol <= MAX_TOL = 0.5 has norm
+>= (1 - tol)/sqrt(n) >= 1/(2 sqrt(n)) > 0, so the divisions cannot
 degenerate; matrix_from_gram raises AssertionError (also under python -O)
 if any norm is at most 1e-15 or NaN, which would mean an invalid value
 escaped construction.
@@ -95,14 +98,15 @@ def information_quality(a: CvdVector) -> float:
     """Squared norm ||a||^2, the diagonal product row_products gives for a.
 
     For a real-valued (probability) vector p this is sum_j p_j^2, i.e.
-    1 - Gini(p): bounded in [1/n, 1].  Complex entries can push it up to n.
+    1 - Gini(p): bounded in [1/n, 1], widened by the validation tolerance
+    as norm's range is.  Complex entries can push it up to n.
     """
     [row] = float_rows((a,))
     return row_products(row, (row,))[0]
 
 
 def norm(a: CvdVector) -> float:
-    """Vector norm sqrt(<a,a>).  Always >= 1/sqrt(n) for valid vectors."""
+    """Vector norm sqrt(<a,a>), in [(1 - tol)/sqrt(n), (1 + tol) sqrt(n)]."""
     return math.sqrt(information_quality(a))
 
 
@@ -160,6 +164,18 @@ def row_products(row: FloatRow, rows: Sequence[FloatRow]) -> list[float]:
     return out
 
 
+def symmetric_rows(uppers: Iterable[list]) -> list[list]:
+    """The symmetric table whose row k from its diagonal on is uppers[k].
+
+    Row k is [row[k] for each earlier row] + uppers[k]: each unordered pair
+    is computed once, and its mirror is the same object.
+    """
+    rows: list[list] = []
+    for k, upper in enumerate(uppers):
+        rows.append([row[k] for row in rows] + upper)
+    return rows
+
+
 def gram(s: SourceSet) -> list[list[float]]:
     """Real Gram matrix G[k][h] = Re<C_k, C_h>, each unordered pair once.
 
@@ -168,13 +184,7 @@ def gram(s: SourceSet) -> list[list[float]]:
     (and information_quality(C_k) on the diagonal).
     """
     rows = float_rows(s.vectors)
-    r = len(rows)
-    g = [[0.0] * r for _ in range(r)]
-    for k in range(r):
-        gk = g[k]
-        for h, acc in enumerate(row_products(rows[k], rows[k:]), k):
-            gk[h] = g[h][k] = acc
-    return g
+    return symmetric_rows(row_products(row, rows[k:]) for k, row in enumerate(rows))
 
 
 def subset_quality(g: Sequence[Sequence[float]], indices: Sequence[int]) -> float:
@@ -250,7 +260,7 @@ def matrix_from_gram(g: Sequence[Sequence[float]], kind: str) -> PairwiseMatrix:
     """Tabulate compatibility, conflict or cosine from a Gram matrix.
 
     Each source's norm sqrt(G[k][k]) is taken once; each unordered pair is
-    computed once and mirrored.
+    computed once, as one row comprehension per source, and mirrored.
     """
     if kind == "conflict":
         return conflict_matrix(matrix_from_gram(g, "compatibility"))
@@ -268,12 +278,11 @@ def matrix_from_gram(g: Sequence[Sequence[float]], kind: str) -> PairwiseMatrix:
     # raised explicitly, not asserted, so that python -O keeps the check.
     if not all(nk > _NORM_FLOOR for nk in norms):
         raise AssertionError("norm underflow: an invalid vector escaped construction")
-    grid = [[of_cosine(1.0)] * r for _ in range(r)]
-    for k in range(r):
-        gk, nk = g[k], norms[k]
-        for h in range(k + 1, r):
-            cosine = min(1.0, max(-1.0, gk[h] / (nk * norms[h])))
-            grid[k][h] = grid[h][k] = of_cosine(cosine)
+    grid = symmetric_rows(
+        [of_cosine(1.0)] + [of_cosine(min(1.0, max(-1.0, x / (nk * nh))))
+                            for x, nh in zip(g[k][k + 1 :], norms[k + 1 :])]
+        for k, nk in enumerate(norms)
+    )
     return PairwiseMatrix(kind, r, tuple(tuple(row) for row in grid))
 
 

@@ -872,6 +872,50 @@ class TestMemoryExhausted:
         }
 
 
+class TestInterrupted:
+    """Ctrl-C is one Interrupted record and exit 130, with no traceback."""
+
+    RECORD = {"error": "Interrupted", "message": "interrupted"}
+
+    def test_in_process(self, capsys, monkeypatch, two_source_file):
+        def interrupted(report, pretty):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cvdfusion.cli, "render_report", interrupted)
+        try:
+            code, out, err = run_cli(capsys, "measure", "--input", two_source_file)
+        except KeyboardInterrupt:  # escaping, it would stop the whole session
+            pytest.fail("KeyboardInterrupt escaped cvdfusion.cli.main")
+        assert code == 130
+        assert out == ""
+        assert json.loads(err) == self.RECORD
+
+    def test_child_sends_itself_sigint(self, tmp_path):
+        # 1,000 sources take seconds to measure; the child's own timer sends
+        # SIGINT 0.2 s into the run, so the parent never waits on a clock.
+        doc = {
+            "space": ["a", "b"],
+            "sources": [
+                {"name": f"s{k}", "values": [[0.5, 0.1], [0.5, -0.1]]}
+                for k in range(1000)
+            ],
+        }
+        path = write(tmp_path, "wide.json", json.dumps(doc))
+        child = (
+            "import os, signal, sys, threading\n"
+            "import cvdfusion.cli\n"
+            "threading.Timer(0.2, os.kill, (os.getpid(), signal.SIGINT)).start()\n"
+            "sys.exit(cvdfusion.cli.main(['measure', '--input', sys.argv[1]]))\n"
+        )
+        proc = run_child([sys.executable, "-c", child, path])
+        assert proc.returncode == 130
+        assert proc.stdout == b""
+        assert b"Traceback" not in proc.stderr
+        lines = proc.stderr.decode("utf-8").splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == self.RECORD
+
+
 # --- CLI fuzzing: any input bytes give a report or one JSON error line ---
 
 _NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")

@@ -20,6 +20,8 @@ def test_edge_and_fixed_cases_run():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+    # relative paths only: the sha256 is the same from any checkout
+    assert [line for line in proc.stdout.splitlines() if str(ROOT) in line] == []
     *runs, summary = [json.loads(line) for line in proc.stdout.splitlines()]
     assert set(summary) == {"runs", "sha256"}
     assert summary["runs"] == len(runs) > 0

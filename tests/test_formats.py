@@ -540,6 +540,17 @@ class TestReportWriter:
                 )
                 assert render_report(report, pretty) == expected
 
+    @pytest.mark.parametrize("pretty", [False, True])
+    def test_matrix_with_a_varying_diagonal(self, pretty):
+        # Any symmetric matrix, not only one with the measures' constant diagonal.
+        pair = PairwiseMatrix("x", 2, ((0.5, 0.25), (0.25, 0.75)))
+        triple = PairwiseMatrix(
+            "x", 3, ((0.5, 0.25, 1 / 3), (0.25, 0.75, 2 / 3), (1 / 3, 2 / 3, 1e-20))
+        )
+        for m in (pair, triple):
+            expected = json.dumps(_rounded({"m": m}), indent=2 if pretty else None)
+            assert render_report({"m": m}, pretty) == expected
+
     def test_render_escapes_strings_like_json_dumps(self):
         report = {"space": ["caf\u00e9", 'say "hi"', "back\\slash", "\u2603\n"]}
         for pretty in (False, True):

@@ -6,6 +6,7 @@ exactly in floating point. Each magnitude is capped by sqrt(1 - x^2) so
 moduli never exceed 1.
 """
 
+import json
 import math
 from itertools import combinations
 
@@ -33,6 +34,17 @@ from cvdfusion import (
     select_sources,
 )
 
+from cvdfusion.core import MAX_TOL
+from cvdfusion.errors import CvdError
+from cvdfusion.formats import (
+    build_fuse_report,
+    build_measure_report,
+    build_select_report,
+    build_validate_report,
+    parse_raw_document,
+    parse_source_file,
+    render_report,
+)
 from cvdfusion.measures import gram, subset_quality
 
 from oracles import ref_gini, ref_real_aggregate
@@ -386,6 +398,94 @@ def _greedy_on_full_gram(s, min_size):
         prefixes.append((quality, tuple(chosen)))
     quality, best = max(prefixes[min_size - 1 :], key=lambda item: item[0])
     return SelectionResult(best, quality, "greedy")
+
+
+# --- the tolerance cannot void the stated ranges (README's measure table) ---
+
+_EDGES = ("valid", "sum-high", "sum-low", "negative", "modulus", "imaginary", "zero", "tiny")
+
+# tol log-uniform over [5e-324, MAX_TOL], both ends included
+_TOLS = st.sampled_from([5e-324, MAX_TOL]) | st.floats(
+    math.log(5e-324), math.log(MAX_TOL)
+).map(lambda x: min(MAX_TOL, max(5e-324, math.exp(x))))
+
+
+@st.composite
+def _edge_raw(draw, n, tol):
+    """(re, im) pairs on n outcomes at one validation check's edge, or an ulp past it."""
+    kind = draw(st.sampled_from(_EDGES))
+    past = draw(st.booleans())
+
+    def edge(x, outward):
+        return math.nextafter(x, outward) if past else x
+
+    pairs = draw(raw_vectors(n))
+    zeros = [(0.0, 0.0)] * (n - 1)
+    if kind == "sum-high":
+        pairs[0] = (edge(pairs[0][0] + tol, math.inf), pairs[0][1])
+    elif kind == "sum-low":
+        pairs[0] = (edge(pairs[0][0] - tol, -math.inf), pairs[0][1])
+    elif kind == "negative":  # a real part at -tol before a valid vector
+        rest = draw(raw_vectors(n - 1)) if n > 1 else []
+        pairs = [(edge(-tol, -math.inf), 0.0)] + rest
+    elif kind == "modulus":  # modulus and sum both at 1 + tol
+        pairs = [(edge(1.0 + tol, math.inf), 0.0)] + zeros
+    elif kind == "imaginary" and n >= 2:  # two moduli at 1 + tol, sum 1 + 0i
+        y = edge(math.sqrt((1.0 + tol) ** 2 - 0.25), math.inf)
+        pairs = [(0.5, y), (0.5, -y)] + zeros[1:]
+    elif kind == "zero":
+        pairs = [(0.0, 0.0)] + zeros
+    elif kind == "tiny":  # a norm below matrix_from_gram's 1e-15 floor
+        pairs = [(1e-16, 0.0)] + zeros
+    return pairs
+
+
+class TestToleranceEdges:
+    """Documents at each check's edge: every command gives a report or one
+    CvdError, and every accepted vector's norm lies in the stated range."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_TOLS, st.data())
+    def test_report_or_one_cvd_error(self, tol, data):
+        n = data.draw(st.integers(1, 5))
+        r = data.draw(st.integers(1, 4))
+        raws = [data.draw(_edge_raw(n, tol)) for _ in range(r)]
+        text = json.dumps(
+            {
+                "space": [f"o{j}" for j in range(n)],
+                "sources": [{"name": f"s{k}", "values": raw} for k, raw in enumerate(raws)],
+            }
+        )
+        min_size = data.draw(st.integers(1, r))
+
+        def select(strategy):
+            s = parse_source_file(text, tol=tol)
+            return build_select_report(s, select_sources(s, strategy, min_size))
+
+        commands = {
+            "validate": lambda: build_validate_report(*parse_raw_document(text), tol=tol),
+            "measure": lambda: build_measure_report(parse_source_file(text, tol=tol)),
+            "fuse": lambda: build_fuse_report(parse_source_file(text, tol=tol)),
+            "exhaustive": lambda: select("exhaustive"),
+            "greedy": lambda: select("greedy"),
+        }
+        outcomes = {}
+        for name, command in commands.items():
+            try:  # any other exception fails the property
+                outcomes[name] = ("report", render_report(command()))
+            except CvdError as err:
+                outcomes[name] = ("error", err.code)
+        kind, validate = outcomes.pop("validate")
+        assert kind == "report"
+        if not json.loads(validate)["valid"]:
+            # the first invalid source's error, from every other command
+            assert len(set(outcomes.values())) == 1
+            assert next(iter(outcomes.values()))[0] == "error"
+            return
+        assert {kind for kind, _ in outcomes.values()} == {"report"}
+        for v in parse_source_file(text, tol=tol).vectors:
+            assert (1.0 - tol) / math.sqrt(n) * (1.0 - 1e-12) <= norm(v)
+            assert norm(v) <= (1.0 + tol) * math.sqrt(n) * (1.0 + 1e-12)
 
 
 if __name__ == "__main__":

@@ -60,7 +60,7 @@ def test_example_output(tmp_path, command, expected):
 
 
 # codes only the CLI writes: no CvdError class carries them
-CLI_ONLY_CODES = ["ValidationFailed", "IOError", "MemoryExhausted", "Usage"]
+CLI_ONLY_CODES = ["ValidationFailed", "IOError", "MemoryExhausted", "Usage", "Interrupted"]
 
 
 def test_every_error_code_is_listed():

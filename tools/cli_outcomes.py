@@ -21,8 +21,9 @@ It prints one JSON line per run (argv, exit code, stdout length and sha256,
 stderr in full) and a final line with the sha256 of all run lines.  Two
 trees behave the same on the corpus exactly when their outputs are equal:
 ``diff a.jsonl b.jsonl``.  Every input file is written under one fixed
-directory of this checkout (``.cli_outcomes/``), so paths inside error
-messages match across trees.
+directory of this checkout (``.cli_outcomes/``), and the runs take place
+in that directory with relative paths, so no argv or error message names
+the checkout: the output, and its sha256, is the same from any checkout.
 ``--seeds`` with no values runs only the edge documents and the fixed argv
 cases, which need neither numpy nor the workloads, so they run under any
 interpreter.
@@ -131,21 +132,22 @@ def edge_cases() -> list[tuple[str, list[str]]]:
     """Every command on each of EDGE_DOCS, written under WORK_DIR."""
     cases = []
     for name, doc in EDGE_DOCS.items():
-        path = WORK_DIR / f"edge-{name}.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        path = f"edge-{name}.json"
+        (WORK_DIR / path).write_text(json.dumps(doc), encoding="utf-8")
         for command in ("validate", "measure", "fuse", "select"):
-            cases.append((f"edge-{name}-{command}", [command, "--input", str(path)]))
+            cases.append((f"edge-{name}-{command}", [command, "--input", path]))
         if name == "duplicated":
-            argv = ["fuse", "--input", str(path), "--weights", "0.25,0.5,0.25"]
+            argv = ["fuse", "--input", path, "--weights", "0.25,0.5,0.25"]
             cases.append((f"edge-{name}-fuse-weights", argv))
         for options in EDGE_SELECTS.get(name, ()):
             cases.append((f"edge-{name}-select {' '.join(options)}",
-                          ["select", "--input", str(path), *options]))
+                          ["select", "--input", path, *options]))
     return cases
 
 
-def fixed_cases(pair: str, missing: str, directory: str) -> list[tuple[str, list[str]]]:
-    """Help, usage and I/O argv cases, named."""
+def fixed_cases() -> list[tuple[str, list[str]]]:
+    """Help, usage and I/O argv cases, named; paths are relative to WORK_DIR."""
+    pair = "pair.json"
     cases = [("help", ["--help"]), ("help-short", ["-h"]), ("no-argv", [])]
     cases += [(f"help-{c}", [c, "--help"]) for c in ("validate", "measure", "fuse", "select")]
     cases += [
@@ -160,9 +162,9 @@ def fixed_cases(pair: str, missing: str, directory: str) -> list[tuple[str, list
         ("tol-negative", ["measure", "--input", pair, "--tol", "-1"]),
         ("tol-inf", ["measure", "--input", pair, "--tol", "inf"]),
         ("strategy-unknown", ["select", "--input", pair, "--strategy", "magic"]),
-        ("missing-file", ["measure", "--input", missing]),
+        ("missing-file", ["measure", "--input", "absent.json"]),
         ("nul-in-path", ["measure", "--input", "pair\0.json"]),
-        ("directory", ["measure", "--input", directory]),
+        ("directory", ["measure", "--input", "."]),
     ]
     cases += [(f"pair-{c}", [c, "--input", pair]) for c in ("validate", "measure", "fuse", "select")]
     return cases
@@ -182,12 +184,12 @@ def workload_cases(seeds: list[int]) -> list[tuple[str, list[str]]]:
                 doc = workloads.make_doc(workload, seed, i)
                 if not doc.argv:  # the library round-trip path, not the CLI
                     continue
-                path = WORK_DIR / f"{workload}-{seed}-{i}.{doc.fmt}"
+                path = f"{workload}-{seed}-{i}.{doc.fmt}"
                 if doc.command == "missing":
-                    path = WORK_DIR / f"absent-{workload}-{seed}-{i}.json"
+                    path = f"absent-{workload}-{seed}-{i}.json"
                 else:
-                    path.write_bytes(doc.data)
-                argv = [str(path) if arg == doc.path else arg for arg in doc.argv]
+                    (WORK_DIR / path).write_bytes(doc.data)
+                argv = [path if arg == doc.path else arg for arg in doc.argv]
                 cases.append((f"{workload}/{seed}/{i}", argv))
     return cases
 
@@ -221,13 +223,13 @@ def main() -> int:
 
     shutil.rmtree(WORK_DIR, ignore_errors=True)
     WORK_DIR.mkdir(parents=True)
-    pair = WORK_DIR / "pair.json"
-    pair.write_text(PAIR_JSON, encoding="utf-8")
+    (WORK_DIR / "pair.json").write_text(PAIR_JSON, encoding="utf-8")
     documents = workload_cases(args.seeds) + edge_cases()
     cases = [(name, argv, "compact") for name, argv in documents]
     cases += [(name, argv + ["--pretty"], "pretty") for name, argv, _ in cases]
-    cases += [(name, argv, "fixed") for name, argv in
-              fixed_cases(str(pair), str(WORK_DIR / "absent.json"), str(WORK_DIR))]
+    cases += [(name, argv, "fixed") for name, argv in fixed_cases()]
+
+    os.chdir(WORK_DIR)  # every argv path is relative to it
 
     digest = hashlib.sha256()
     for name, argv, mode in cases:
@@ -236,6 +238,7 @@ def main() -> int:
         digest.update(line.encode() + b"\n")
         print(line)
     print(json.dumps({"runs": len(cases), "sha256": digest.hexdigest()}))
+    os.chdir(ROOT)
     shutil.rmtree(WORK_DIR, ignore_errors=True)
     return 0
 
